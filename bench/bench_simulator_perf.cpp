@@ -28,11 +28,13 @@
 #include "core/trace_parser.h"
 #include "costmodel/kernel_model.h"
 #include "faults/fault_plan.h"
+#include "io/mapped_file.h"
 #include "json/json.h"
 #include "snapshot/snapshot.h"
 #include "trace/chrome_trace.h"
 #include "trace/content_hash.h"
 #include "trace/json_writer.h"
+#include "trace_dom.h"
 #include "workload/analytical_provider.h"
 #include "workload/graph_builder.h"
 
@@ -358,8 +360,9 @@ void BM_ParseFile(benchmark::State& state) {
   const auto bytes = static_cast<std::int64_t>(std::filesystem::file_size(path));
   std::size_t events = 0;
   for (auto _ : state) {
-    trace::RankTrace back =
-        trace::rank_trace_from_json_file(path, {.use_mmap = use_mmap});
+    const io::MappedFile file = io::MappedFile::open(path, use_mmap);
+    trace::RankTrace back;
+    trace::parse_rank_trace_json(file.view(), back);
     events = back.events.size();
     benchmark::DoNotOptimize(back);
   }
@@ -414,7 +417,7 @@ void BM_ParseCluster(benchmark::State& state) {
   const ClusterFixture& f = cluster_fixture();
   for (auto _ : state) {
     trace::ClusterTrace cluster = trace::read_cluster_trace(
-        f.prefix, f.ranks, {.use_mmap = true, .ingest_workers = workers});
+        f.prefix, f.ranks, {.ingest_workers = workers});
     benchmark::DoNotOptimize(cluster);
   }
   state.SetBytesProcessed(f.bytes * state.iterations());

@@ -36,21 +36,19 @@
 //       one NDJSON request against a running lumos_serve
 //
 // Global flags:
-//   --no-mmap   read trace files through the buffered fallback instead of
-//               the zero-copy mmap ingest path (A/B knob; identical traces)
 //   --ingest-workers=N
 //               parse cluster rank files across N threads (0 = one per
 //               hardware thread, the default; any N is bit-identical)
-//   --compiled-replay / --no-compiled-replay
-//               lower frozen graphs into a flat core::ReplayProgram and
-//               replay through its dispatch loop (the default) vs. pinning
-//               the interpreter (A/B knob; bit-identical results)
+//
+// Any other --flag, and any count argument that is not a non-negative
+// decimal integer, is a usage error (exit 2).
 //
 // Models: 15b | 44b | 117b | 175b | v1..v4 | tiny
 //
 // The CLI is argument parsing plus lumos::api calls — the pipeline itself
 // (collect → parse → simulate → analyze) lives behind api::Session, and the
 // concurrent grid search behind api::Sweep.
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -64,23 +62,29 @@ namespace {
 
 using namespace lumos;
 
-/// Trace-file ingest path, set by the global --no-mmap flag.
-bool g_use_mmap = true;
-
 /// Cluster-ingest worker count, set by the global --ingest-workers=N flag.
 /// 0 (the default) = one worker per hardware thread.
 std::size_t g_ingest_workers = 0;
 
-/// Compiled-replay fast path, toggled by --compiled-replay /
-/// --no-compiled-replay (on by default).
-bool g_compiled_replay = true;
-
 /// A from_trace scenario with the CLI's ingest flags applied.
 api::Scenario trace_scenario(const char* prefix, std::size_t num_ranks = 0) {
   return api::Scenario::from_trace(prefix, num_ranks)
-      .with_mmap_io(g_use_mmap)
-      .with_ingest_workers(g_ingest_workers)
-      .with_compiled_replay(g_compiled_replay);
+      .with_ingest_workers(g_ingest_workers);
+}
+
+/// Parses `text` as a decimal integer of type T into `out`. Anything else —
+/// empty text, a sign on an unsigned count, trailing characters, overflow —
+/// prints a usage error naming `what` and returns false (exit 2).
+template <typename T>
+bool parse_number(const char* text, const char* what, T& out) {
+  const std::string_view s(text);
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), out);
+  if (s.empty() || ec != std::errc() || end != s.data() + s.size()) {
+    std::fprintf(stderr, "error: %s must be a non-negative integer, got '%s'\n",
+                 what, text);
+    return false;
+  }
+  return true;
 }
 
 /// Prints a non-OK status and converts it to a process exit code.
@@ -97,13 +101,12 @@ int cmd_collect(int argc, char** argv) {
     return 2;
   }
   const std::string prefix = argv[1];
-  const std::uint64_t seed =
-      argc > 4 ? std::strtoull(argv[4], nullptr, 10) : 1;
+  std::uint64_t seed = 1;
+  if (argc > 4 && !parse_number(argv[4], "seed", seed)) return 2;
   api::Scenario scenario = api::Scenario::synthetic()
                                .with_model(argv[2])
                                .with_parallelism(argv[3])
-                               .with_seed(seed)
-                               .with_compiled_replay(g_compiled_replay);
+                               .with_seed(seed);
   Result<api::Session> session = api::Session::create(scenario);
   if (!session.is_ok()) return fail(session.status());
   Result<std::size_t> files = session->write_traces(prefix);
@@ -121,8 +124,10 @@ int cmd_info(int argc, char** argv) {
     std::fprintf(stderr, "usage: lumos_cli info <prefix> <num_ranks>\n");
     return 2;
   }
-  Result<api::Session> session = api::Session::create(
-      trace_scenario(argv[1], std::strtoul(argv[2], nullptr, 10)));
+  std::size_t num_ranks = 0;
+  if (!parse_number(argv[2], "num_ranks", num_ranks)) return 2;
+  Result<api::Session> session =
+      api::Session::create(trace_scenario(argv[1], num_ranks));
   if (!session.is_ok()) return fail(session.status());
   Result<std::vector<std::int32_t>> ranks = session->ranks();
   if (!ranks.is_ok()) return fail(ranks.status());
@@ -152,8 +157,10 @@ int cmd_replay(int argc, char** argv) {
     std::fprintf(stderr, "usage: lumos_cli replay <prefix> <num_ranks>\n");
     return 2;
   }
-  Result<api::Session> session = api::Session::create(
-      trace_scenario(argv[1], std::strtoul(argv[2], nullptr, 10)));
+  std::size_t num_ranks = 0;
+  if (!parse_number(argv[2], "num_ranks", num_ranks)) return 2;
+  Result<api::Session> session =
+      api::Session::create(trace_scenario(argv[1], num_ranks));
   if (!session.is_ok()) return fail(session.status());
   Result<const core::ExecutionGraph*> graph = session->graph();
   if (!graph.is_ok()) return fail(graph.status());
@@ -182,7 +189,8 @@ int cmd_diff(int argc, char** argv) {
                  "usage: lumos_cli diff <prefixA> <prefixB> <num_ranks>\n");
     return 2;
   }
-  const std::size_t ranks = std::strtoul(argv[3], nullptr, 10);
+  std::size_t ranks = 0;
+  if (!parse_number(argv[3], "num_ranks", ranks)) return 2;
   Result<api::Session> a = api::Session::create(trace_scenario(argv[1], ranks));
   if (!a.is_ok()) return fail(a.status());
   Result<api::Session> b = api::Session::create(trace_scenario(argv[2], ranks));
@@ -200,10 +208,10 @@ int cmd_show(int argc, char** argv) {
     std::fprintf(stderr, "usage: lumos_cli show <prefix> <rank>\n");
     return 2;
   }
+  std::int32_t rank = 0;
+  if (!parse_number(argv[2], "rank", rank)) return 2;
   Result<api::Session> session = api::Session::create(trace_scenario(argv[1]));
   if (!session.is_ok()) return fail(session.status());
-  const auto rank =
-      static_cast<std::int32_t>(std::strtol(argv[2], nullptr, 10));
   Result<std::string> timeline = session->timeline(rank);
   if (!timeline.is_ok()) {
     if (timeline.status().code() == ErrorCode::kInvalidArgument) {
@@ -225,10 +233,12 @@ int cmd_sweep(int argc, char** argv) {
                  "<label,label,...> [workers] [seed]\n");
     return 2;
   }
-  const std::size_t workers =
-      argc > 4 ? std::strtoul(argv[4], nullptr, 10) : 0;
-  const std::uint64_t seed =
-      argc > 5 ? std::strtoull(argv[5], nullptr, 10) : 1;
+  std::size_t workers = 0;
+  std::uint64_t seed = 1;
+  if ((argc > 4 && !parse_number(argv[4], "workers", workers)) ||
+      (argc > 5 && !parse_number(argv[5], "seed", seed))) {
+    return 2;
+  }
 
   std::vector<std::string> labels;
   const std::string grid = argv[3];
@@ -247,8 +257,7 @@ int cmd_sweep(int argc, char** argv) {
       api::Sweep::create(api::Scenario::synthetic()
                              .with_model(argv[1])
                              .with_parallelism(argv[2])
-                             .with_seed(seed)
-                             .with_compiled_replay(g_compiled_replay),
+                             .with_seed(seed),
                          {.workers = workers});
   if (!sweep.is_ok()) return fail(sweep.status());
   if (Status status = sweep->add_parallelism_grid(labels); !status.is_ok()) {
@@ -343,10 +352,12 @@ int cmd_faults(int argc, char** argv) {
     return 2;
   }
   const std::string severities_arg = argc > 4 ? argv[4] : "0.25,0.5,1";
-  const std::size_t workers =
-      argc > 5 ? std::strtoul(argv[5], nullptr, 10) : 0;
-  const std::uint64_t seed =
-      argc > 6 ? std::strtoull(argv[6], nullptr, 10) : 1;
+  std::size_t workers = 0;
+  std::uint64_t seed = 1;
+  if ((argc > 5 && !parse_number(argv[5], "workers", workers)) ||
+      (argc > 6 && !parse_number(argv[6], "seed", seed))) {
+    return 2;
+  }
 
   faults::FaultSpec spec;
   spec.with_seed(seed);
@@ -362,8 +373,7 @@ int cmd_faults(int argc, char** argv) {
       api::Sweep::create(api::Scenario::synthetic()
                              .with_model(argv[1])
                              .with_parallelism(argv[2])
-                             .with_seed(seed)
-                             .with_compiled_replay(g_compiled_replay),
+                             .with_seed(seed),
                          {.workers = workers});
   if (!sweep.is_ok()) return fail(sweep.status());
   Result<api::FaultReport> report =
@@ -382,14 +392,13 @@ int cmd_snapshot(int argc, char** argv) {
     return 2;
   }
   const std::string path = argv[1];
-  const std::uint64_t seed =
-      argc > 4 ? std::strtoull(argv[4], nullptr, 10) : 1;
+  std::uint64_t seed = 1;
+  if (argc > 4 && !parse_number(argv[4], "seed", seed)) return 2;
   Result<api::Session> session =
       api::Session::create(api::Scenario::synthetic()
                                .with_model(argv[2])
                                .with_parallelism(argv[3])
-                               .with_seed(seed)
-                               .with_compiled_replay(g_compiled_replay));
+                               .with_seed(seed));
   if (!session.is_ok()) return fail(session.status());
   if (Status status = session->save_snapshot(path); !status.is_ok()) {
     return fail(status);
@@ -411,13 +420,12 @@ int cmd_serve(int argc, char** argv) {
   }
   serve::ServerOptions options;
   options.socket_path = argv[1];
-  options.engine.use_mmap = g_use_mmap;
-  options.engine.compiled_replay = g_compiled_replay;
-  if (argc > 2) options.workers = std::strtoul(argv[2], nullptr, 10);
-  if (argc > 3) {
-    options.engine.cache_capacity_bytes =
-        std::strtoull(argv[3], nullptr, 10) << 20;
+  std::size_t cache_mb = 0;
+  if ((argc > 2 && !parse_number(argv[2], "workers", options.workers)) ||
+      (argc > 3 && !parse_number(argv[3], "cache_mb", cache_mb))) {
+    return 2;
   }
+  if (argc > 3) options.engine.cache_capacity_bytes = cache_mb << 20;
   Result<std::unique_ptr<serve::Server>> server =
       serve::Server::start(options);
   if (!server.is_ok()) return fail(server.status());
@@ -518,20 +526,20 @@ int cmd_request(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Strip global flags (position-independent) before command dispatch.
+  // Strip global flags (position-independent) before command dispatch. An
+  // unknown --flag is an error, not a positional argument.
   int kept = 1;
   for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
+    const std::string_view arg = argv[i];
     constexpr std::string_view kIngestWorkers = "--ingest-workers=";
-    if (arg == "--no-mmap") {
-      g_use_mmap = false;
-    } else if (arg == "--compiled-replay") {
-      g_compiled_replay = true;
-    } else if (arg == "--no-compiled-replay") {
-      g_compiled_replay = false;
-    } else if (arg.rfind(kIngestWorkers, 0) == 0) {
-      g_ingest_workers =
-          std::strtoul(arg.c_str() + kIngestWorkers.size(), nullptr, 10);
+    if (arg.starts_with(kIngestWorkers)) {
+      if (!parse_number(argv[i] + kIngestWorkers.size(), "--ingest-workers",
+                        g_ingest_workers)) {
+        return 2;
+      }
+    } else if (arg.starts_with("--")) {
+      std::fprintf(stderr, "error: unknown flag '%s'\n", argv[i]);
+      return 2;
     } else {
       argv[kept++] = argv[i];
     }
@@ -539,8 +547,7 @@ int main(int argc, char** argv) {
   argc = kept;
   if (argc < 2) {
     std::fprintf(stderr,
-                 "usage: lumos_cli [--no-mmap] [--ingest-workers=N] "
-                 "[--no-compiled-replay] "
+                 "usage: lumos_cli [--ingest-workers=N] "
                  "<collect|info|replay|diff|show|sweep|faults|snapshot|"
                  "serve|request> ...\n");
     return 2;

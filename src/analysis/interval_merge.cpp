@@ -326,10 +326,6 @@ std::int64_t merge_intervals_scalar(std::vector<Interval>& intervals) {
   return sweep_merge(intervals);
 }
 
-std::int64_t interval_union_ns(std::vector<Interval> intervals) {
-  return merge_intervals(intervals);
-}
-
 std::vector<Interval> gather_intervals(std::span<const std::int64_t> ts,
                                        std::span<const std::int64_t> dur,
                                        std::span<const std::uint32_t> select,

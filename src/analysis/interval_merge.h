@@ -51,9 +51,6 @@ std::int64_t merge_intervals(std::vector<Interval>& intervals);
 /// BM_MergeIntervals A/B bench can pin the fast paths against it.
 std::int64_t merge_intervals_scalar(std::vector<Interval>& intervals);
 
-/// Union length of a set of [start,end) intervals (by-value convenience).
-std::int64_t interval_union_ns(std::vector<Interval> intervals);
-
 /// Gathers the device-activity intervals of a columnar event selection:
 /// entries of the parallel ts/dur columns named by `select`, clamped to
 /// [clamp_begin, clamp_end) when clamp_end > clamp_begin, empty results

@@ -145,18 +145,8 @@ Scenario& Scenario::with_actual_seed(std::uint64_t seed) {
   return *this;
 }
 
-Scenario& Scenario::with_mmap_io(bool use_mmap) {
-  io_options_.use_mmap = use_mmap;
-  return *this;
-}
-
 Scenario& Scenario::with_ingest_workers(std::size_t workers) {
   io_options_.ingest_workers = workers;
-  return *this;
-}
-
-Scenario& Scenario::with_compiled_replay(bool enabled) {
-  compiled_replay_ = enabled;
   return *this;
 }
 
@@ -271,6 +261,20 @@ Status Scenario::validate() const {
   if (!err.empty()) {
     return validation_error(model->name + " on " + config->label() + ": " +
                             err);
+  }
+  return Status::ok();
+}
+
+Status Scenario::validate_whatif() const {
+  // The session already owns the baseline, so baseline fields here would be
+  // silently ignored: predict(Scenario::synthetic().with_model("44b")) would
+  // return baseline numbers to a caller who believes they predicted 44b.
+  if (has_model() || has_parallelism() || has_microbatches()) {
+    return invalid_argument_error(
+        "what-if scenarios carry only manipulations; the baseline model/"
+        "parallelism come from the session — use with_architecture / "
+        "with_scaled_parallelism / with_data_parallelism instead (or "
+        "Sweep::add_scenario for a standalone configuration)");
   }
   return Status::ok();
 }

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "baseline/dpro.h"
@@ -19,34 +21,124 @@ namespace lumos::api {
 
 namespace {
 
-// Process-wide registries. Writers (register_*) take the mutex exclusive;
-// readers (lookups from predictions, possibly many Sweep workers at once)
-// take it shared and copy the factory out before invoking it, so a factory
-// call never runs under the lock.
-struct HooksRegistry {
-  SharedMutex mutex;
-  std::map<std::string, Session::HooksFactory> factories
-      LUMOS_GUARDED_BY(mutex);
+/// A process-wide name → factory registry. Writers (add) take the mutex
+/// exclusive; readers (lookups from predictions, possibly many Sweep workers
+/// at once) take it shared and copy the factory out, so a factory call
+/// never runs under the lock.
+template <typename Factory>
+class Registry {
+ public:
+  explicit Registry(std::string kind) : kind_(std::move(kind)) {}
+
+  Status add(const std::string& name, Factory factory) {
+    if (name.empty()) {
+      return invalid_argument_error(kind_ +
+                                    " registry name must be non-empty");
+    }
+    if (!factory) {
+      return invalid_argument_error(kind_ + " factory must be callable");
+    }
+    WriterLock lock(mutex_);
+    factories_[name] = std::move(factory);
+    return Status::ok();
+  }
+
+  Result<Factory> find(const std::string& name) {
+    ReaderLock lock(mutex_);
+    auto it = factories_.find(name);
+    if (it == factories_.end()) {
+      return invalid_argument_error("no " + kind_ + " registered as '" +
+                                    name + "'");
+    }
+    return it->second;
+  }
+
+  std::vector<std::string> names() {
+    ReaderLock lock(mutex_);
+    std::vector<std::string> out;
+    out.reserve(factories_.size());
+    for (const auto& [name, factory] : factories_) out.push_back(name);
+    return out;
+  }
+
+ private:
+  const std::string kind_;
+  SharedMutex mutex_;
+  std::map<std::string, Factory> factories_ LUMOS_GUARDED_BY(mutex_);
 };
 
-struct CostModelRegistry {
-  SharedMutex mutex;
-  std::map<std::string, Session::CostModelFactory> factories
-      LUMOS_GUARDED_BY(mutex);
-};
-
-HooksRegistry& hooks_registry() {
-  static HooksRegistry* registry =
-      new HooksRegistry();  // lumos-lint: allow(H004) leaked singleton
-
+/// The one registry per factory type, named `kind` in its messages.
+template <typename Factory>
+Registry<Factory>& registry_of(const char* kind) {
+  static auto* registry =
+      new Registry<Factory>(kind);  // lumos-lint: allow(H004) leaked singleton
   return *registry;
 }
 
-CostModelRegistry& cost_model_registry() {
-  static CostModelRegistry* registry =
-      new CostModelRegistry();  // lumos-lint: allow(H004) leaked singleton
+Registry<Session::HooksFactory>& hooks_registry() {
+  return registry_of<Session::HooksFactory>("simulator hooks");
+}
 
-  return *registry;
+Registry<Session::CostModelFactory>& cost_model_registry() {
+  return registry_of<Session::CostModelFactory>("cost model");
+}
+
+/// The hooks `scenario` asks for: its shared instance as-is, a fresh product
+/// of the registry factory it names (kept alive by `owned`, so concurrent
+/// predictions never share one), or nullptr when it asks for none.
+Result<core::SimulatorHooks*> instantiate_hooks(
+    const Scenario& scenario, std::unique_ptr<core::SimulatorHooks>& owned) {
+  if (scenario.hooks() != nullptr) return scenario.hooks().get();
+  if (scenario.hooks_name().empty()) {
+    return static_cast<core::SimulatorHooks*>(nullptr);
+  }
+  Result<Session::HooksFactory> factory =
+      hooks_registry().find(scenario.hooks_name());
+  if (!factory.is_ok()) return factory.status();
+  owned = (*factory)();
+  if (owned == nullptr) {
+    return internal_error("hooks factory '" + scenario.hooks_name() +
+                          "' returned nullptr");
+  }
+  return owned.get();
+}
+
+/// The one simulator dispatch behind Session::replay, predict_on and
+/// replay_faulted. `program` is the baseline's compiled program when `graph`
+/// is the baseline graph itself, null otherwise. The compiled program runs
+/// when no hooks are in play and the fault plan, if any, only rescales
+/// durations; dropout and contention (stuck-task scan, rendezvous
+/// concurrency signal) and hooks take the interpreter with coupled
+/// collectives. Both paths are bit-identical (test_replay_program).
+/// `compiled`, when given, reports which one ran.
+core::SimResult simulate(const core::ExecutionGraph& graph,
+                         const core::ReplayProgram* program,
+                         core::SimulatorHooks* hooks,
+                         const faults::FaultPlan* plan,
+                         bool* compiled = nullptr) {
+  const bool use_program = hooks == nullptr && program != nullptr &&
+                           program->coupled() &&
+                           (plan == nullptr || plan->compiled_eligible());
+  if (compiled != nullptr) *compiled = use_program;
+  if (use_program) {
+    return plan == nullptr ? program->run() : program->run(plan->durations());
+  }
+  core::SimOptions options;
+  options.couple_collectives = true;
+  options.hooks = hooks;
+  std::optional<faults::ColumnHooks> fault_hooks;
+  if (plan != nullptr) {
+    options.hooks = &fault_hooks.emplace(plan->make_hooks());
+    options.dropped_tasks = plan->dropped();
+  }
+  return core::Simulator(graph, options).run();
+}
+
+/// True when `whatif` changes parallelism or architecture, i.e. predict_on
+/// rebuilds the graph through the template provider.
+bool rebuilds_graph(const Scenario& whatif) {
+  return whatif.new_dp() || whatif.new_pp() || whatif.new_architecture() ||
+         whatif.new_layers() || whatif.new_hidden();
 }
 
 const trace::RankTrace* find_rank(const trace::ClusterTrace& trace,
@@ -71,13 +163,13 @@ Status status_from_ingest_error(const trace::IngestError& e) {
 
 Result<Session> Session::create(Scenario scenario) {
   Session session(std::move(scenario));
-  const Scenario& s = session.scenario_;
+  const Scenario& s = session.base_.scenario;
   if (s.source() == Scenario::Source::kSynthetic) {
     // Synthetic sources need a complete, consistent (model, config) pair up
     // front; surface bad names/labels/combinations before any work runs.
     if (Status status = s.validate(); !status.is_ok()) return status;
-    session.model_ = *s.resolved_model();
-    session.config_ = *s.resolved_parallelism();
+    session.base_.model = *s.resolved_model();
+    session.base_.config = *s.resolved_parallelism();
   } else {
     if (s.trace_prefix().empty()) {
       return invalid_argument_error("trace scenario has an empty prefix");
@@ -96,13 +188,13 @@ Result<Session> Session::create(Scenario scenario) {
     // manipulation), but if specified they must resolve.
     Result<workload::ModelSpec> model = s.resolved_model();
     if (model.is_ok()) {
-      session.model_ = *model;
+      session.base_.model = *model;
     } else if (model.status().code() != ErrorCode::kFailedPrecondition) {
       return model.status();
     }
     Result<workload::ParallelConfig> config = s.resolved_parallelism();
     if (config.is_ok()) {
-      session.config_ = *config;
+      session.base_.config = *config;
     } else if (config.status().code() != ErrorCode::kFailedPrecondition) {
       return config.status();
     }
@@ -111,25 +203,25 @@ Result<Session> Session::create(Scenario scenario) {
 }
 
 Status Session::ensure_trace() {
-  if (trace_) return Status::ok();
+  if (base_.trace) return Status::ok();
   ++stats_.trace_loads;
-  if (scenario_.source() == Scenario::Source::kSynthetic) {
+  const Scenario& s = base_.scenario;
+  if (s.source() == Scenario::Source::kSynthetic) {
     try {
-      cluster::GroundTruthEngine engine(*model_, *config_,
-                                        scenario_.hardware());
-      cluster::GroundTruthRun run = engine.run_profiled(scenario_.seed());
+      cluster::GroundTruthEngine engine(*base_.model, *base_.config,
+                                        s.hardware());
+      cluster::GroundTruthRun run = engine.run_profiled(s.seed());
       profiled_iteration_ns_ = run.iteration_ns;
-      trace_ = std::make_shared<const trace::ClusterTrace>(
+      base_.trace = std::make_shared<const trace::ClusterTrace>(
           std::move(run.trace));
     } catch (const std::exception& e) {
       return internal_error(std::string("ground-truth engine: ") + e.what());
     }
   } else {
     try {
-      trace_ = std::make_shared<const trace::ClusterTrace>(
-          trace::read_cluster_trace(scenario_.trace_prefix(),
-                                    scenario_.num_ranks(),
-                                    scenario_.io_options()));
+      base_.trace = std::make_shared<const trace::ClusterTrace>(
+          trace::read_cluster_trace(s.trace_prefix(), s.num_ranks(),
+                                    s.io_options()));
     } catch (const json::ParseError& e) {
       return parse_error(std::string("trace JSON: ") + e.what());
     } catch (const json::TypeError& e) {
@@ -149,17 +241,17 @@ Status Session::ensure_trace() {
 
 Result<const trace::ClusterTrace*> Session::trace() {
   if (Status status = ensure_trace(); !status.is_ok()) return status;
-  return trace_.get();
+  return base_.trace.get();
 }
 
 Status Session::ensure_graph() {
-  if (graph_) return Status::ok();
-  Result<const trace::ClusterTrace*> traces = trace();
-  if (!traces.is_ok()) return traces.status();
+  if (base_.graph) return Status::ok();
+  if (Status status = ensure_trace(); !status.is_ok()) return status;
   ++stats_.graph_builds;
   core::ExecutionGraph parsed;
   try {
-    parsed = core::TraceParser(scenario_.parser_options()).parse(**traces);
+    parsed = core::TraceParser(base_.scenario.parser_options())
+                 .parse(*base_.trace);
   } catch (const std::exception& e) {
     return parse_error(std::string("trace parse: ") + e.what());
   }
@@ -169,92 +261,48 @@ Status Session::ensure_graph() {
                               "task " +
                               std::to_string(cycle_hint));
   }
-  graph_ = std::make_shared<const core::ExecutionGraph>(std::move(parsed));
+  base_.graph = std::make_shared<const core::ExecutionGraph>(std::move(parsed));
   return Status::ok();
 }
 
 Result<const core::ExecutionGraph*> Session::graph() {
   if (Status status = ensure_graph(); !status.is_ok()) return status;
-  return graph_.get();
+  return base_.graph.get();
 }
 
-void Session::ensure_program() {
-  if (program_attempted_ || !graph_) return;
-  program_attempted_ = true;
-  if (!scenario_.compiled_replay()) return;
-  core::ReplayCompiler::Result compiled =
-      core::ReplayCompiler::compile(*graph_);
-  // A fallback status is not an error: program_ stays null and every
-  // replay/prediction keeps using the interpreter.
-  if (compiled) program_ = std::move(compiled.program);
+Status Session::ensure_baseline() {
+  if (Status status = ensure_graph(); !status.is_ok()) return status;
+  if (!compile_attempted_) {
+    compile_attempted_ = true;
+    attach_replay_program(base_);
+  }
+  return Status::ok();
 }
 
 Result<BaselineArtifacts> Session::share_baseline() {
-  if (Status status = ensure_graph(); !status.is_ok()) return status;
-  ensure_program();
-  BaselineArtifacts out;
-  out.scenario = scenario_;
-  out.model = model_;
-  out.config = config_;
-  out.trace = trace_;
-  out.graph = graph_;
-  out.program = program_;
-  return out;
+  if (Status status = ensure_baseline(); !status.is_ok()) return status;
+  return base_;
 }
 
 void attach_replay_program(BaselineArtifacts& base) {
-  if (base.program != nullptr || base.graph == nullptr ||
-      !base.scenario.compiled_replay()) {
-    return;
-  }
+  if (base.program != nullptr || base.graph == nullptr) return;
   core::ReplayCompiler::Result compiled =
       core::ReplayCompiler::compile(*base.graph);
+  // A fallback status is not an error: program stays null and every
+  // replay/prediction keeps using the interpreter.
   if (compiled) base.program = std::move(compiled.program);
-}
-
-Result<core::SimulatorHooks*> Session::resolve_hooks(
-    const Scenario& scenario) {
-  if (scenario.hooks() != nullptr) return scenario.hooks().get();
-  if (scenario.hooks_name().empty()) {
-    return static_cast<core::SimulatorHooks*>(nullptr);
-  }
-  HooksFactory factory;
-  {
-    HooksRegistry& registry = hooks_registry();
-    ReaderLock lock(registry.mutex);
-    auto it = registry.factories.find(scenario.hooks_name());
-    if (it == registry.factories.end()) {
-      return invalid_argument_error("no simulator hooks registered as '" +
-                                    scenario.hooks_name() + "'");
-    }
-    factory = it->second;
-  }
-  owned_hooks_ = factory();
-  if (owned_hooks_ == nullptr) {
-    return internal_error("hooks factory '" + scenario.hooks_name() +
-                          "' returned nullptr");
-  }
-  return owned_hooks_.get();
 }
 
 Status Session::ensure_replay() {
   if (replay_) return Status::ok();
-  if (Status status = ensure_graph(); !status.is_ok()) return status;
-  Result<core::SimulatorHooks*> hooks = resolve_hooks(scenario_);
+  if (Status status = ensure_baseline(); !status.is_ok()) return status;
+  std::unique_ptr<core::SimulatorHooks> owned_hooks;
+  Result<core::SimulatorHooks*> hooks =
+      instantiate_hooks(base_.scenario, owned_hooks);
   if (!hooks.is_ok()) return hooks.status();
-  ensure_program();
   ++stats_.simulations;
-  core::SimResult result;
-  if (*hooks == nullptr && program_ != nullptr) {
-    // Hook-free replay of the frozen baseline: the compiled program is
-    // bit-identical to the interpreter below (test_replay_program).
-    result = program_->run();
-  } else {
-    core::SimOptions options;
-    options.couple_collectives = true;
-    options.hooks = *hooks;
-    result = core::Simulator(*graph_, options).run();
-  }
+  core::SimResult result =
+      simulate(*base_.graph, base_.program.get(), *hooks, nullptr);
   if (!result.complete()) {
     return deadlock_error("replay stuck with " +
                           std::to_string(result.stuck_tasks.size()) +
@@ -273,7 +321,7 @@ Status Session::ensure_dpro() {
   if (dpro_) return Status::ok();
   if (Status status = ensure_graph(); !status.is_ok()) return status;
   ++stats_.simulations;
-  core::SimResult result = baseline::replay_dpro(*graph_);
+  core::SimResult result = baseline::replay_dpro(*base_.graph);
   if (!result.complete()) {
     return deadlock_error("dPRO replay stuck with " +
                           std::to_string(result.stuck_tasks.size()) +
@@ -291,37 +339,38 @@ Result<const core::SimResult*> Session::replay_dpro() {
 Result<const trace::ClusterTrace*> Session::replayed_trace() {
   if (replayed_trace_) return &*replayed_trace_;
   if (Status status = ensure_replay(); !status.is_ok()) return status;
-  replayed_trace_ = replay_->to_trace(*graph_);
+  replayed_trace_ = replay_->to_trace(*base_.graph);
   return &*replayed_trace_;
 }
 
 Result<const trace::ClusterTrace*> Session::dpro_trace() {
   if (dpro_trace_) return &*dpro_trace_;
   if (Status status = ensure_dpro(); !status.is_ok()) return status;
-  dpro_trace_ = dpro_->to_trace(*graph_);
+  dpro_trace_ = dpro_->to_trace(*base_.graph);
   return &*dpro_trace_;
 }
 
 Result<std::int64_t> Session::profiled_iteration_ns() {
   if (Status status = ensure_trace(); !status.is_ok()) return status;
-  if (scenario_.source() == Scenario::Source::kSynthetic) {
+  if (base_.scenario.source() == Scenario::Source::kSynthetic) {
     return profiled_iteration_ns_;
   }
-  return trace_->iteration_ns();
+  return base_.trace->iteration_ns();
 }
 
 Status Session::ensure_actual() {
   if (actual_run_) return Status::ok();
-  if (scenario_.source() != Scenario::Source::kSynthetic) {
+  const Scenario& s = base_.scenario;
+  if (s.source() != Scenario::Source::kSynthetic) {
     return failed_precondition_error(
         "actual (measured) runs are only available for synthetic scenarios; "
         "this session replays on-disk traces");
   }
   ++stats_.actual_runs;
   try {
-    cluster::GroundTruthEngine engine(*model_, *config_,
-                                      scenario_.hardware());
-    actual_run_ = engine.run_actual(scenario_.actual_seed());
+    cluster::GroundTruthEngine engine(*base_.model, *base_.config,
+                                      s.hardware());
+    actual_run_ = engine.run_actual(s.actual_seed());
   } catch (const std::exception& e) {
     return internal_error(std::string("ground-truth engine: ") + e.what());
   }
@@ -338,48 +387,20 @@ Result<const trace::ClusterTrace*> Session::actual_trace() {
   return &actual_run_->trace;
 }
 
-Result<Prediction> Session::predict() { return predict_internal(scenario_); }
+Result<Prediction> Session::predict() {
+  return predict_internal(base_.scenario);
+}
 
 Result<Prediction> Session::predict(const Scenario& whatif) {
-  // A what-if carries manipulations only. Baseline fields on it would be
-  // silently ignored (the session already owns the baseline), so a caller
-  // writing predict(Scenario::synthetic().with_model("44b")) would get
-  // baseline numbers believing they predicted 44b — reject instead.
-  if (whatif.has_model() || whatif.has_parallelism() ||
-      whatif.has_microbatches()) {
-    return invalid_argument_error(
-        "what-if scenarios carry only manipulations; the baseline model/"
-        "parallelism come from the session — use with_architecture / "
-        "with_scaled_parallelism / with_data_parallelism instead");
+  if (Status status = whatif.validate_whatif(); !status.is_ok()) {
+    return status;
   }
   return predict_internal(whatif);
 }
 
 Result<Prediction> Session::predict_internal(const Scenario& whatif) {
-  Result<BaselineArtifacts> base = share_baseline();
-  if (!base.is_ok()) return base.status();
-  // Structure-preserving faulted what-ifs lower the spec against the
-  // baseline graph; cache the plan by spec fingerprint so severity-grid
-  // reruns of one spec pay the lowering once. Rebuilding what-ifs are
-  // excluded: their plan depends on the rebuilt graph, which predict_on
-  // lowers on the spot.
-  const faults::FaultPlan* plan = nullptr;
-  const bool rebuilds = whatif.new_dp() || whatif.new_pp() ||
-                        whatif.new_architecture() || whatif.new_layers() ||
-                        whatif.new_hidden();
-  if (whatif.faults() != nullptr && !rebuilds && !whatif.fusion() &&
-      whatif.dropped_dependencies().empty()) {
-    const std::uint64_t key = whatif.faults()->fingerprint();
-    auto it = fault_plans_.find(key);
-    if (it == fault_plans_.end()) {
-      auto lowered = std::make_shared<const faults::FaultPlan>(
-          faults::FaultPlan::lower(*base->graph, *whatif.faults()));
-      it = fault_plans_.emplace(key, std::move(lowered)).first;
-      ++stats_.fault_plans;
-    }
-    plan = it->second.get();
-  }
-  Result<Prediction> out = predict_on(*base, whatif, plan);
+  if (Status status = ensure_baseline(); !status.is_ok()) return status;
+  Result<Prediction> out = predict_on(base_, whatif);
   // Count only what-ifs whose simulation actually ran: every validation /
   // manipulation failure returns before the simulator, while a deadlock is
   // a completed (stuck) simulator invocation.
@@ -391,12 +412,6 @@ Result<Prediction> Session::predict_internal(const Scenario& whatif) {
 
 Result<Prediction> predict_on(const BaselineArtifacts& base,
                               const Scenario& whatif) {
-  return predict_on(base, whatif, nullptr);
-}
-
-Result<Prediction> predict_on(const BaselineArtifacts& base,
-                              const Scenario& whatif,
-                              const faults::FaultPlan* plan) {
   if (base.graph == nullptr) {
     return failed_precondition_error(
         "baseline artifacts carry no execution graph; obtain them from "
@@ -417,57 +432,27 @@ Result<Prediction> predict_on(const BaselineArtifacts& base,
         "with_faults cannot be combined with custom simulator hooks; "
         "pick one duration-override mechanism per what-if");
   }
-  // Hooks: a shared instance is used as-is; a registry name instantiates a
-  // fresh product for this call, so concurrent predictions never share it.
   std::unique_ptr<core::SimulatorHooks> owned_hooks;
-  core::SimulatorHooks* hooks = whatif.hooks().get();
-  if (hooks == nullptr && !whatif.hooks_name().empty()) {
-    Session::HooksFactory factory;
-    {
-      HooksRegistry& registry = hooks_registry();
-      ReaderLock lock(registry.mutex);
-      auto it = registry.factories.find(whatif.hooks_name());
-      if (it == registry.factories.end()) {
-        return invalid_argument_error("no simulator hooks registered as '" +
-                                      whatif.hooks_name() + "'");
-      }
-      factory = it->second;
-    }
-    owned_hooks = factory();
-    if (owned_hooks == nullptr) {
-      return internal_error("hooks factory '" + whatif.hooks_name() +
-                            "' returned nullptr");
-    }
-    hooks = owned_hooks.get();
-  }
+  Result<core::SimulatorHooks*> hooks = instantiate_hooks(whatif, owned_hooks);
+  if (!hooks.is_ok()) return hooks.status();
 
-  const bool rebuilds = whatif.new_dp() || whatif.new_pp() ||
-                        whatif.new_architecture() || whatif.new_layers() ||
-                        whatif.new_hidden();
+  const bool rebuilds = rebuilds_graph(whatif);
 
   // Resolve the cost model up front: an unknown registry name is an error,
   // and so is naming one on a what-if that never re-costs kernels — silently
   // computing baseline numbers would let the caller believe it was applied.
   cost::KernelPerfModel kernel_model(base.scenario.hardware());
   if (!whatif.cost_model_name().empty()) {
-    Session::CostModelFactory factory;
-    {
-      CostModelRegistry& registry = cost_model_registry();
-      ReaderLock lock(registry.mutex);
-      auto it = registry.factories.find(whatif.cost_model_name());
-      if (it == registry.factories.end()) {
-        return invalid_argument_error("no cost model registered as '" +
-                                      whatif.cost_model_name() + "'");
-      }
-      factory = it->second;
-    }
+    Result<Session::CostModelFactory> factory =
+        cost_model_registry().find(whatif.cost_model_name());
+    if (!factory.is_ok()) return factory.status();
     if (!rebuilds) {
       return invalid_argument_error(
           "cost model '" + whatif.cost_model_name() +
           "' has no effect: kernels are only re-costed when the what-if "
           "rebuilds the graph (parallelism or architecture change)");
     }
-    kernel_model = factory(base.scenario.hardware());
+    kernel_model = (*factory)(base.scenario.hardware());
   }
 
   // Pick the graph to simulate without copying the baseline unless a
@@ -526,52 +511,21 @@ Result<Prediction> predict_on(const BaselineArtifacts& base,
     to_run = &owned;
   }
 
-  // Lower the fault spec against whatever graph is about to run. A caller
-  // plan (Session's fingerprint cache) is valid only for the baseline graph,
-  // so it is used exactly when the what-if preserved the structure.
-  const bool structure_preserved = !rebuilds && !whatif.fusion() &&
-                                   whatif.dropped_dependencies().empty();
-  faults::FaultPlan owned_plan;
-  const faults::FaultPlan* fault_plan = nullptr;
+  // Lower the fault spec against whatever graph is about to run.
+  faults::FaultPlan plan;
   if (whatif.faults() != nullptr) {
-    if (plan != nullptr && structure_preserved) {
-      fault_plan = plan;
-    } else {
-      owned_plan = faults::FaultPlan::lower(*to_run, *whatif.faults());
-      fault_plan = &owned_plan;
-    }
-    if (!fault_plan->ok()) {
-      return invalid_argument_error("fault spec: " + fault_plan->error());
+    plan = faults::FaultPlan::lower(*to_run, *whatif.faults());
+    if (!plan.ok()) {
+      return invalid_argument_error("fault spec: " + plan.error());
     }
   }
-
-  const bool compiled_usable = hooks == nullptr && structure_preserved &&
-                               base.program != nullptr &&
-                               base.program->coupled();
-  if (compiled_usable && fault_plan == nullptr) {
-    // The manipulation left the graph structure untouched and no per-pick
-    // hook is in play, so the baseline's compiled program evaluates this
-    // variant directly — the Sweep fast path (SweepReport counts these).
-    out.sim = base.program->run();
-    out.used_compiled_replay = true;
-  } else if (compiled_usable && fault_plan->compiled_eligible()) {
-    // Duration-only faults ride the same fast path through the caller
-    // duration column; dropout and contention need the interpreter (stuck-
-    // task scan / rendezvous concurrency signal) and fall through.
-    out.sim = base.program->run(fault_plan->durations());
-    out.used_compiled_replay = true;
-  } else {
-    core::SimOptions options;
-    options.couple_collectives = true;
-    options.hooks = hooks;
-    faults::ColumnHooks fault_hooks({}, 0.0);
-    if (fault_plan != nullptr) {
-      fault_hooks = fault_plan->make_hooks();
-      options.hooks = &fault_hooks;
-      options.dropped_tasks = fault_plan->dropped();
-    }
-    out.sim = core::Simulator(*to_run, options).run();
-  }
+  // Every structural manipulation above swapped `to_run` for a new graph;
+  // when none did, the baseline's compiled program describes this run.
+  const bool structure_preserved = to_run == base.graph.get();
+  out.sim = simulate(*to_run,
+                     structure_preserved ? base.program.get() : nullptr,
+                     *hooks, whatif.faults() != nullptr ? &plan : nullptr,
+                     &out.used_compiled_replay);
   if (!out.sim.complete()) {
     return deadlock_error("prediction stuck with " +
                           std::to_string(out.sim.stuck_tasks.size()) +
@@ -585,9 +539,8 @@ Result<Prediction> predict_on(const BaselineArtifacts& base,
 }
 
 Result<analysis::Breakdown> Session::breakdown() {
-  Result<const trace::ClusterTrace*> replayed = replayed_trace();
-  if (!replayed.is_ok()) return replayed.status();
-  return analysis::compute_breakdown(**replayed);
+  if (Status status = ensure_replay(); !status.is_ok()) return status;
+  return analysis::compute_breakdown(*base_.graph, *replay_);
 }
 
 Result<analysis::Breakdown> Session::breakdown_actual() {
@@ -598,7 +551,7 @@ Result<analysis::Breakdown> Session::breakdown_actual() {
 
 Result<analysis::CriticalPathSummary> Session::critical_path() {
   if (Status status = ensure_replay(); !status.is_ok()) return status;
-  return analysis::critical_path(*graph_, *replay_);
+  return analysis::critical_path(*base_.graph, *replay_);
 }
 
 Result<std::vector<analysis::DiffEntry>> Session::diff(
@@ -696,53 +649,16 @@ Result<std::string> Session::chrome_trace_json(std::int32_t rank,
 
 Status Session::register_hooks(const std::string& name,
                                HooksFactory factory) {
-  if (name.empty()) {
-    return invalid_argument_error("hooks registry name must be non-empty");
-  }
-  if (!factory) {
-    return invalid_argument_error("hooks factory must be callable");
-  }
-  HooksRegistry& registry = hooks_registry();
-  WriterLock lock(registry.mutex);
-  registry.factories[name] = std::move(factory);
-  return Status::ok();
+  return hooks_registry().add(name, std::move(factory));
 }
 
 Status Session::register_cost_model(const std::string& name,
                                     CostModelFactory factory) {
-  if (name.empty()) {
-    return invalid_argument_error(
-        "cost-model registry name must be non-empty");
-  }
-  if (!factory) {
-    return invalid_argument_error("cost-model factory must be callable");
-  }
-  CostModelRegistry& registry = cost_model_registry();
-  WriterLock lock(registry.mutex);
-  registry.factories[name] = std::move(factory);
-  return Status::ok();
+  return cost_model_registry().add(name, std::move(factory));
 }
 
 std::vector<std::string> Session::registered_hooks() {
-  HooksRegistry& registry = hooks_registry();
-  ReaderLock lock(registry.mutex);
-  std::vector<std::string> out;
-  out.reserve(registry.factories.size());
-  for (const auto& [name, factory] : registry.factories) {
-    out.push_back(name);
-  }
-  return out;
-}
-
-std::vector<std::string> Session::registered_cost_models() {
-  CostModelRegistry& registry = cost_model_registry();
-  ReaderLock lock(registry.mutex);
-  std::vector<std::string> out;
-  out.reserve(registry.factories.size());
-  for (const auto& [name, factory] : registry.factories) {
-    out.push_back(name);
-  }
-  return out;
+  return hooks_registry().names();
 }
 
 Result<core::SimResult> replay_graph(const core::ExecutionGraph& graph,
@@ -766,18 +682,9 @@ Result<core::SimResult> replay_faulted(const BaselineArtifacts& base,
   if (!plan.ok()) {
     return invalid_argument_error("fault spec: " + plan.error());
   }
-  if (plan.compiled_eligible() && base.program != nullptr &&
-      base.program->coupled()) {
-    return base.program->run(plan.durations());
-  }
-  core::SimOptions options;
-  options.couple_collectives = true;
-  faults::ColumnHooks hooks = plan.make_hooks();
-  options.hooks = &hooks;
-  options.dropped_tasks = plan.dropped();
   // Deadlock-as-data: a dropout spec deadlocks by design, and the stuck-
   // task set *is* the result.
-  return core::Simulator(*base.graph, options).run();
+  return simulate(*base.graph, base.program.get(), nullptr, &plan);
 }
 
 }  // namespace lumos::api

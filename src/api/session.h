@@ -20,7 +20,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -92,25 +91,24 @@ struct BaselineArtifacts {
   std::optional<workload::ParallelConfig> config;
   std::shared_ptr<const trace::ClusterTrace> trace;
   std::shared_ptr<const core::ExecutionGraph> graph;
-  /// The graph lowered by core::ReplayCompiler, when the scenario's
-  /// compiled-replay knob is on and the graph compiles; null otherwise
-  /// (predict_on then uses the interpreter). Shares the artifacts'
-  /// lifetime, is self-contained (keeps nothing of the graph alive) and
-  /// immutable, so concurrent predictions replay it freely.
+  /// The graph lowered by core::ReplayCompiler, when it compiles; null
+  /// otherwise (predict_on then uses the interpreter, bit-identically).
+  /// Shares the artifacts' lifetime, is self-contained (keeps nothing of
+  /// the graph alive) and immutable, so concurrent predictions replay it
+  /// freely.
   std::shared_ptr<const core::ReplayProgram> program;
 };
 
-/// Compiles `base.graph` into `base.program` (idempotent) when
-/// `base.scenario` has compiled replay enabled and the graph is supported;
-/// a fallback (cycle, unordered lane, non-positive duration) or a disabled
-/// knob leaves `program` null and the interpreter in charge. Sessions call
-/// this in share_baseline(); serve::Engine calls it after loading a
-/// snapshot, so resident baselines pay the compile once per cache entry.
+/// Compiles `base.graph` into `base.program` when the program is not there
+/// yet; a fallback (cycle, unordered lane, non-positive duration) leaves
+/// `program` null and the interpreter in charge. Sessions call this once
+/// per graph; serve::Engine calls it after loading a snapshot, so resident
+/// baselines pay the compile once per cache entry.
 void attach_replay_program(BaselineArtifacts& base);
 
 /// What-if prediction over a shared immutable baseline: the core of
-/// Session::predict and of every api::Sweep worker, so the manipulation →
-/// simulate → materialize pipeline exists exactly once.
+/// Session::predict, of every api::Sweep worker and of serve::Engine, so
+/// the manipulation → simulate → materialize pipeline exists exactly once.
 ///
 /// Thread-safe: reads `base` and `whatif` only, resolves registry hooks /
 /// cost models under the registry locks, and instantiates registry hooks
@@ -119,17 +117,6 @@ void attach_replay_program(BaselineArtifacts& base);
 /// itself thread-safe.
 Result<Prediction> predict_on(const BaselineArtifacts& base,
                               const Scenario& whatif);
-
-/// predict_on with a pre-lowered fault plan: `plan` must be the result of
-/// FaultPlan::lower(*base.graph, *whatif.faults()) — Session passes its
-/// per-fingerprint cache entry here so sweep grids do not re-lower the
-/// spec per variant. nullptr lowers on the spot (what the 2-arg overload
-/// does). The plan applies only to structure-preserving what-ifs; when the
-/// what-if rebuilds the graph, the spec is re-lowered against the rebuilt
-/// graph and `plan` is ignored.
-Result<Prediction> predict_on(const BaselineArtifacts& base,
-                              const Scenario& whatif,
-                              const faults::FaultPlan* plan);
 
 class Session {
  public:
@@ -148,7 +135,7 @@ class Session {
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
 
-  const Scenario& scenario() const { return scenario_; }
+  const Scenario& scenario() const { return base_.scenario; }
 
   // -- pipeline accessors (lazy, cached; returned pointers stay valid until
   //    the Session is moved or destroyed) ------------------------------------
@@ -157,10 +144,11 @@ class Session {
   Result<const trace::ClusterTrace*> trace();
   /// The execution graph parsed from the baseline trace.
   Result<const core::ExecutionGraph*> graph();
-  /// Snapshots the baseline into an immutable, shareable handle (collecting
-  /// the trace and parsing the graph first if needed). The snapshot aliases
-  /// the session's own caches — no copies — and stays valid after the
-  /// Session is destroyed. This is the hand-off point to api::Sweep.
+  /// The session's baseline as an immutable, shareable handle (collecting
+  /// the trace, parsing the graph and compiling it first if needed). The
+  /// handle aliases the session's own caches — no copies — and stays valid
+  /// after the Session is destroyed. This is the hand-off point to
+  /// api::Sweep.
   Result<BaselineArtifacts> share_baseline();
   /// Serializes the finalized baseline (trace + parsed graph + scenario
   /// metadata) as a versioned binary snapshot at `path` (snapshot/
@@ -199,7 +187,10 @@ class Session {
   Result<Prediction> predict(const Scenario& whatif);
 
   // -- analysis -------------------------------------------------------------
-  /// Breakdown of the Lumos-replayed trace (averaged across ranks).
+  /// Breakdown of the Lumos replay (averaged across ranks), computed from
+  /// the schedule and the graph's meta columns like every Prediction's —
+  /// bit-identical to the breakdown of replayed_trace(), which it does not
+  /// materialize.
   Result<analysis::Breakdown> breakdown();
   /// Breakdown of the actual run's trace (synthetic sessions only).
   Result<analysis::Breakdown> breakdown_actual();
@@ -239,9 +230,8 @@ class Session {
   // take it shared, so concurrent Sweep workers resolving hooks/cost models
   // do not serialize each other; the factory maps are GUARDED_BY that
   // mutex and checked by -Wthread-safety). Factories may be invoked
-  // concurrently
-  // from prediction threads and must be safe to call concurrently; each
-  // invocation must return an independent product.
+  // concurrently from prediction threads and must be safe to call
+  // concurrently; each invocation must return an independent product.
   /// Registers a SimulatorHooks factory under `name`, for use via
   /// Scenario::with_hooks(name). Re-registering a name replaces it.
   static Status register_hooks(const std::string& name, HooksFactory factory);
@@ -250,7 +240,6 @@ class Session {
   static Status register_cost_model(const std::string& name,
                                     CostModelFactory factory);
   static std::vector<std::string> registered_hooks();
-  static std::vector<std::string> registered_cost_models();
 
   // -- cache introspection (tests, debugging) -------------------------------
   struct CacheStats {
@@ -258,52 +247,36 @@ class Session {
     std::size_t graph_builds = 0;  ///< trace parses
     std::size_t simulations = 0;   ///< simulator invocations (all kinds)
     std::size_t actual_runs = 0;   ///< ground-truth "actual" executions
-    std::size_t fault_plans = 0;   ///< fault-plan lowerings (cache misses)
   };
   const CacheStats& cache_stats() const { return stats_; }
 
  private:
-  explicit Session(Scenario scenario) : scenario_(std::move(scenario)) {}
+  explicit Session(Scenario scenario) { base_.scenario = std::move(scenario); }
 
   Result<Prediction> predict_internal(const Scenario& whatif);
   Status ensure_trace();
   Status ensure_graph();
-  /// Compiles graph_ into program_ once (no-op when the knob is off or a
-  /// prior attempt fell back).
-  void ensure_program();
+  /// ensure_graph plus the one compile attempt of the graph into
+  /// base_.program (attach_replay_program).
+  Status ensure_baseline();
   Status ensure_replay();
   Status ensure_dpro();
   Status ensure_actual();
-  /// Resolves the hooks requested by `scenario` (owned factory product or
-  /// shared instance); nullptr when none requested.
-  Result<core::SimulatorHooks*> resolve_hooks(const Scenario& scenario);
 
-  Scenario scenario_;
-  // Resolved at create() when the scenario specifies them.
-  std::optional<workload::ModelSpec> model_;
-  std::optional<workload::ParallelConfig> config_;
-
-  // Lazy caches. Trace and graph live behind shared_ptr<const ...> so
-  // share_baseline() can alias them without copying; they are never mutated
-  // after publication.
-  std::shared_ptr<const trace::ClusterTrace> trace_;
+  /// The lazily built baseline: scenario, model and config are resolved at
+  /// create(); trace, graph and program fill in on first use. Trace and
+  /// graph live behind shared_ptr<const ...> so share_baseline() aliases
+  /// them without copying; nothing is mutated after publication.
+  BaselineArtifacts base_;
+  /// Set once the graph went through attach_replay_program, so a graph that
+  /// falls back to the interpreter is not re-compiled on every prediction.
+  bool compile_attempted_ = false;
   std::int64_t profiled_iteration_ns_ = -1;  ///< synthetic sources only
-  std::shared_ptr<const core::ExecutionGraph> graph_;
-  /// Compiled once per graph by ensure_program(); null when the knob is
-  /// off or the graph fell back to the interpreter.
-  std::shared_ptr<const core::ReplayProgram> program_;
-  bool program_attempted_ = false;
   std::optional<core::SimResult> replay_;
   std::optional<core::SimResult> dpro_;
   std::optional<trace::ClusterTrace> replayed_trace_;
   std::optional<trace::ClusterTrace> dpro_trace_;
   std::optional<cluster::GroundTruthRun> actual_run_;
-  std::unique_ptr<core::SimulatorHooks> owned_hooks_;  ///< registry product
-  /// Fault plans lowered against the baseline graph, keyed by
-  /// FaultSpec::fingerprint() — repeated predictions with the same spec
-  /// (severity-grid reruns) reuse the lowered column.
-  std::map<std::uint64_t, std::shared_ptr<const faults::FaultPlan>>
-      fault_plans_;
 
   CacheStats stats_;
 };
@@ -318,14 +291,12 @@ Status save_baseline_snapshot(const BaselineArtifacts& base,
 /// are zero-copy views of the file mapping; the returned artifacts pin the
 /// mapping alive (shared_ptr aliasing), so they may outlive any loader
 /// state and the file may even be unlinked while they live — see the
-/// lifetime rule in snapshot/snapshot.h. `use_mmap = false` selects the
-/// buffered-read fallback (identical result).
+/// lifetime rule in snapshot/snapshot.h.
 ///
 /// Errors: kIoError (missing/unreadable file), kParseError (bad magic,
 /// truncation, checksum or structure mismatch), kUnsupported (format
 /// version from a different build).
-Result<BaselineArtifacts> load_baseline_snapshot(const std::string& path,
-                                                 bool use_mmap = true);
+Result<BaselineArtifacts> load_baseline_snapshot(const std::string& path);
 
 /// Reads just the snapshot header and returns the content hash pinned at
 /// save time (trace::content_hash of the embedded trace) — the cheap

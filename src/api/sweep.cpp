@@ -157,14 +157,9 @@ SweepRow Sweep::run_item(const Item& item) const {
       }
       row.prediction = *std::move(prediction);
     } else {
-      // Mirror Session::predict's contract: a what-if carries manipulations
-      // only; baseline fields would be silently ignored.
-      if (item.scenario.has_model() || item.scenario.has_parallelism() ||
-          item.scenario.has_microbatches()) {
-        row.status = invalid_argument_error(
-            "sweep variant '" + item.label +
-            "' carries baseline fields; what-if variants take manipulations "
-            "only (use add_scenario for standalone configurations)");
+      // Session::predict's contract: a what-if carries manipulations only.
+      if (Status status = item.scenario.validate_whatif(); !status.is_ok()) {
+        row.status = status;
         return row;
       }
       Result<Prediction> prediction = predict_on(base_, item.scenario);

@@ -229,12 +229,6 @@ std::vector<std::int32_t> ExecutionGraph::in_degrees() const {
   return deg;
 }
 
-std::vector<Processor> ExecutionGraph::processors() const {
-  std::set<Processor> procs;
-  for (const Task& t : tasks()) procs.insert(t.processor);
-  return {procs.begin(), procs.end()};
-}
-
 std::vector<std::int32_t> ExecutionGraph::ranks() const {
   std::set<std::int32_t> ranks;
   for (const Task& t : tasks()) ranks.insert(t.processor.rank);

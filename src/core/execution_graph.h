@@ -194,9 +194,6 @@ class ExecutionGraph {
   /// Number of fixed in-edges per task.
   std::vector<std::int32_t> in_degrees() const;
 
-  /// Distinct processors over all tasks, in deterministic order.
-  std::vector<Processor> processors() const;
-
   /// Distinct rank ids in ascending order.
   std::vector<std::int32_t> ranks() const;
 

@@ -39,10 +39,6 @@ Value& Object::at(std::string_view key) {
                           "'");
 }
 
-bool Object::contains(std::string_view key) const {
-  return find(key) != nullptr;
-}
-
 const Value* Object::find(std::string_view key) const {
   for (const auto& [k, v] : items_) {
     if (k == key) return &v;

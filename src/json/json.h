@@ -46,7 +46,6 @@ class Object {
   const Value& at(std::string_view key) const;
   Value& at(std::string_view key);
 
-  bool contains(std::string_view key) const;
   /// Returns nullptr when the key is absent.
   const Value* find(std::string_view key) const;
 

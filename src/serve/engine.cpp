@@ -71,9 +71,8 @@ Engine::baseline_internal(const std::string& path,
   load_flights_[content_hash] = flight;
   lock.unlock();
 
-  Result<api::BaselineArtifacts> loaded =
-      api::load_baseline_snapshot(path, options_.use_mmap);
-  if (loaded.is_ok() && options_.compiled_replay) {
+  Result<api::BaselineArtifacts> loaded = api::load_baseline_snapshot(path);
+  if (loaded.is_ok()) {
     // Compile outside the engine lock, once per cache entry: every
     // prediction served from this resident baseline then replays the flat
     // program instead of re-deriving schedule order in the interpreter.
@@ -94,14 +93,6 @@ Engine::baseline_internal(const std::string& path,
   was_cached = false;
   if (!flight->status.is_ok()) return flight->status;
   return flight->base;
-}
-
-Result<std::shared_ptr<const api::BaselineArtifacts>> Engine::baseline(
-    const std::string& path) {
-  Result<std::uint64_t> hash = api::peek_snapshot_content_hash(path);
-  if (!hash.is_ok()) return hash.status();
-  bool was_cached = false;
-  return baseline_internal(path, *hash, was_cached);
 }
 
 Result<Engine::Outcome> Engine::predict(const Request& request) {
@@ -167,14 +158,6 @@ Result<Engine::Outcome> Engine::predict(const Request& request) {
 Engine::Stats Engine::stats() const {
   MutexLock lock(mu_);
   return stats_;
-}
-
-void Engine::clear() {
-  MutexLock lock(mu_);
-  cache_.clear();
-  lru_.clear();
-  stats_.cached_baselines = 0;
-  stats_.cached_bytes = 0;
 }
 
 }  // namespace lumos::serve

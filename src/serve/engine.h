@@ -41,13 +41,6 @@ class Engine {
     /// most recently inserted entry is always kept, even when it alone
     /// exceeds the budget — a cache of one beats a cache of none.
     std::size_t cache_capacity_bytes = 256ull << 20;
-    /// Snapshot ingest path (mmap vs. buffered read), A/B knob.
-    bool use_mmap = true;
-    /// Lower each loaded baseline into a core::ReplayProgram (once per
-    /// cache entry, outside the engine lock) so hook-free predictions
-    /// replay the flat program instead of the interpreter. Bit-identical
-    /// either way; off pins the interpreter for A/B timing.
-    bool compiled_replay = true;
   };
 
   /// Monotonic counters; all mutated under one lock, so a reader sees a
@@ -73,21 +66,12 @@ class Engine {
   Engine();  ///< default Options
   explicit Engine(Options options);
 
-  /// The cached-or-loaded baseline for the snapshot at `path`. Never
-  /// copies: the returned pointer aliases the cache entry (or the freshly
-  /// loaded artifacts) and stays valid across eviction.
-  Result<std::shared_ptr<const api::BaselineArtifacts>> baseline(
-      const std::string& path) LUMOS_EXCLUDES(mu_);
-
   /// Answers one predict request: resolve the snapshot's content hash,
   /// fetch the baseline (cache → single-flight load → disk), then run
   /// api::predict_on under predict-level single-flight.
   Result<Outcome> predict(const Request& request) LUMOS_EXCLUDES(mu_);
 
   Stats stats() const LUMOS_EXCLUDES(mu_);
-
-  /// Drops every cache entry (in-flight users keep theirs alive).
-  void clear() LUMOS_EXCLUDES(mu_);
 
   /// Cache-accounting estimate of a baseline's resident size: column bytes
   /// of the trace's events, the graph's meta rows and edges. An estimate —
@@ -111,8 +95,11 @@ class Engine {
     Outcome outcome;
   };
 
-  /// baseline() plus whether it was a cache hit (for Outcome provenance).
-  /// Takes mu_ itself (and drops it around the disk load).
+  /// The cached-or-loaded baseline for the snapshot at `path` (content
+  /// hash `content_hash`), plus whether it was a cache hit (for Outcome
+  /// provenance). Never copies: the returned pointer aliases the cache
+  /// entry (or the freshly loaded artifacts) and stays valid across
+  /// eviction. Takes mu_ itself (and drops it around the disk load).
   Result<std::shared_ptr<const api::BaselineArtifacts>> baseline_internal(
       const std::string& path, std::uint64_t content_hash, bool& was_cached)
       LUMOS_EXCLUDES(mu_);

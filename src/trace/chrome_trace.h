@@ -15,14 +15,11 @@
 
 namespace lumos::trace {
 
-/// File-level ingest options. The default is the zero-copy fast path: the
-/// rank file is mmap(2)'d (io::MappedFile) and json::sax_parse scans the
-/// mapping directly, so file bytes reach the columnar EventTable without an
-/// intermediate owning buffer. `use_mmap = false` selects the buffered
-/// read() path instead — the A/B knob the CLI (--no-mmap) and the
-/// BM_ParseFile bench expose; both paths produce identical traces.
+/// Cluster-ingest options. Every rank file takes the zero-copy path: it is
+/// mmap(2)'d (io::MappedFile) and json::sax_parse scans the mapping
+/// directly, so file bytes reach the columnar EventTable without an
+/// intermediate owning buffer.
 struct IoOptions {
-  bool use_mmap = true;
   /// Cluster-ingest worker count (read_cluster_trace): rank files are
   /// parsed concurrently, each worker into a private EventTable/TracePools,
   /// then deterministically merged into the shared cluster pools in
@@ -33,17 +30,6 @@ struct IoOptions {
   /// --ingest-workers.
   std::size_t ingest_workers = 0;
 };
-
-/// Serializes a rank trace to a Chrome-trace JSON value (DOM form). The
-/// hot emit path is to_json_string / JsonWriter (src/trace/json_writer.h),
-/// which streams the EventTable columns without building this tree; the
-/// two are byte-identical when serialized and golden-tested to stay so.
-json::Value to_json(const RankTrace& trace);
-
-/// Parses a Chrome-trace JSON value into a rank trace. Unknown categories
-/// are skipped (real Kineto traces contain many auxiliary event types).
-/// Throws json::TypeError / std::out_of_range on structurally invalid input.
-RankTrace rank_trace_from_json(const json::Value& root);
 
 /// Serializes to a JSON string (compact by default). Streams the table
 /// columns through trace::JsonWriter — no JSON DOM is materialized.
@@ -59,12 +45,10 @@ RankTrace rank_trace_from_json_string(std::string_view text);
 /// table is re-sorted by (ts, tid). Throws like rank_trace_from_json_string.
 void parse_rank_trace_json(std::string_view text, RankTrace& trace);
 
-/// Parses one on-disk rank file through the zero-copy mmap path (or the
-/// buffered fallback, per `io`). Throws the same json::ParseError /
-/// std::out_of_range diagnostics as the string path, and
-/// std::runtime_error for I/O failures.
-RankTrace rank_trace_from_json_file(const std::string& path,
-                                    const IoOptions& io = {});
+/// Parses one on-disk rank file through the zero-copy mmap path. Throws the
+/// same json::ParseError / std::out_of_range diagnostics as the string
+/// path, and std::runtime_error for I/O failures.
+RankTrace rank_trace_from_json_file(const std::string& path);
 
 /// Writes one file per rank: <prefix>_rank<k>.json, where <k> is the rank's
 /// *global* id (Megatron numbering, not necessarily contiguous). Returns

@@ -38,21 +38,6 @@ CudaApi cuda_api_from_name(std::string_view name) {
   return CudaApi::None;
 }
 
-std::string_view to_string(CudaApi api) {
-  switch (api) {
-    case CudaApi::None: return "";
-    case CudaApi::LaunchKernel: return "cudaLaunchKernel";
-    case CudaApi::MemcpyAsync: return "cudaMemcpyAsync";
-    case CudaApi::MemsetAsync: return "cudaMemsetAsync";
-    case CudaApi::EventRecord: return "cudaEventRecord";
-    case CudaApi::StreamWaitEvent: return "cudaStreamWaitEvent";
-    case CudaApi::StreamSynchronize: return "cudaStreamSynchronize";
-    case CudaApi::DeviceSynchronize: return "cudaDeviceSynchronize";
-    case CudaApi::EventSynchronize: return "cudaEventSynchronize";
-  }
-  return "";
-}
-
 bool launches_device_work(CudaApi api) {
   return api == CudaApi::LaunchKernel || api == CudaApi::MemcpyAsync ||
          api == CudaApi::MemsetAsync;

@@ -52,9 +52,6 @@ enum class CudaApi : std::uint8_t {
 /// Classifies a CUDA runtime event by name ("cudaLaunchKernel" etc.).
 CudaApi cuda_api_from_name(std::string_view name);
 
-/// Canonical event name for a CUDA runtime API.
-std::string_view to_string(CudaApi api);
-
 /// True for APIs that enqueue device work (and therefore have a correlated
 /// GPU activity): LaunchKernel / MemcpyAsync / MemsetAsync.
 bool launches_device_work(CudaApi api);

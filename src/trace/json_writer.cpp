@@ -122,7 +122,8 @@ void JsonWriter::write_event(const EventTable& t, std::size_t i) {
   append_us(t.dur_ns(i));
 
   // The args object is emitted only when non-empty; the presence test must
-  // mirror the DOM builder's (event_to_json) member conditions exactly.
+  // mirror the DOM builder's (event_to_json, tests/trace_dom.cpp) member
+  // conditions exactly.
   const OpId coll_op = t.collective_op(i);
   const GemmShape gemm = t.gemm(i);
   const bool has_args =

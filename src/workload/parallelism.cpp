@@ -72,16 +72,6 @@ std::vector<std::int32_t> Placement::dp_group(std::int32_t rank) const {
   return group;
 }
 
-std::vector<std::int32_t> Placement::pp_group(std::int32_t rank) const {
-  RankCoord c = coord(rank);
-  std::vector<std::int32_t> group;
-  group.reserve(static_cast<std::size_t>(config_.pp));
-  for (std::int32_t p = 0; p < config_.pp; ++p) {
-    group.push_back(global_rank({c.tp_rank, c.dp_rank, p}));
-  }
-  return group;
-}
-
 cost::CommPlacement Placement::placement_of(
     const std::vector<std::int32_t>& ranks) const {
   std::set<std::int32_t> nodes;

@@ -60,8 +60,6 @@ class Placement {
   std::vector<std::int32_t> tp_group(std::int32_t rank) const;
   /// Ranks of the data-parallel group containing `rank`.
   std::vector<std::int32_t> dp_group(std::int32_t rank) const;
-  /// Ranks of the pipeline group containing `rank` (stage order).
-  std::vector<std::int32_t> pp_group(std::int32_t rank) const;
 
   /// Placement (size + nodes spanned) for the communicators of `rank`.
   cost::CommPlacement tp_placement(std::int32_t rank) const;

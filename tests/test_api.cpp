@@ -157,6 +157,32 @@ TEST(Session, ReplayMatchesLowLevelPipeline) {
   EXPECT_GT(breakdown->total_ns(), 0);
 }
 
+TEST(Session, BreakdownMatchesReplayedTraceBreakdown) {
+  // Session::breakdown() reads the schedule and the graph's meta columns;
+  // it must agree bit-for-bit with the breakdown of the materialized
+  // replayed trace, on the tiny model and on a 16-rank 15B deployment.
+  for (const Scenario& scenario :
+       {Scenario::synthetic()
+            .with_model(testutil::tiny_model())
+            .with_parallelism(testutil::tiny_config())
+            .with_seed(123),
+        Scenario::synthetic().with_model("15b").with_parallelism("2x2x4")}) {
+    Result<Session> session = Session::create(scenario);
+    ASSERT_TRUE(session.is_ok()) << session.status().to_string();
+    Result<analysis::Breakdown> from_columns = session->breakdown();
+    Result<const trace::ClusterTrace*> replayed = session->replayed_trace();
+    ASSERT_TRUE(from_columns.is_ok()) << from_columns.status().to_string();
+    ASSERT_TRUE(replayed.is_ok()) << replayed.status().to_string();
+    const analysis::Breakdown from_trace =
+        analysis::compute_breakdown(**replayed);
+    EXPECT_EQ(from_columns->exposed_compute_ns, from_trace.exposed_compute_ns)
+        << scenario.describe();
+    EXPECT_EQ(from_columns->overlapped_ns, from_trace.overlapped_ns);
+    EXPECT_EQ(from_columns->exposed_comm_ns, from_trace.exposed_comm_ns);
+    EXPECT_EQ(from_columns->other_ns, from_trace.other_ns);
+  }
+}
+
 TEST(Session, SecondReplayReusesTraceGraphAndResult) {
   Result<Session> session = Session::create(tiny_scenario());
   ASSERT_TRUE(session.is_ok());

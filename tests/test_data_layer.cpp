@@ -15,6 +15,7 @@
 #include "core/simulator.h"
 #include "core/trace_parser.h"
 #include "test_util.h"
+#include "trace_dom.h"
 #include "trace/chrome_trace.h"
 #include "trace/string_pool.h"
 

@@ -35,12 +35,11 @@ using api::Session;
 using api::Sweep;
 using api::whatif;
 
-Scenario tiny_scenario(bool compiled_replay = true) {
+Scenario tiny_scenario() {
   return Scenario::synthetic()
       .with_model(testutil::tiny_model())
       .with_parallelism(testutil::tiny_config())
-      .with_seed(123)
-      .with_compiled_replay(compiled_replay);
+      .with_seed(123);
 }
 
 /// The one representative duration-only composition used across the suite:
@@ -249,13 +248,18 @@ TEST_F(FaultPlanFixture, CompiledAndInterpreterPathsAreBitIdentical) {
                                           "baseline makespan";
 }
 
-TEST(FaultFacade, CompiledKnobOffIsBitIdenticalAndReportsThePath) {
-  Result<Session> on = Session::create(tiny_scenario(true));
-  Result<Session> off = Session::create(tiny_scenario(false));
-  ASSERT_TRUE(on.is_ok() && off.is_ok());
-  Result<Prediction> fast = on->predict(whatif().with_faults(straggler_spec()));
+TEST(FaultFacade, CompiledPathIsBitIdenticalToInterpreterAndReportsIt) {
+  Result<Session> session = Session::create(tiny_scenario());
+  ASSERT_TRUE(session.is_ok());
+  Result<Prediction> fast =
+      session->predict(whatif().with_faults(straggler_spec()));
+  // The interpreter reference: the same baseline with its program dropped.
+  Result<BaselineArtifacts> shared = session->share_baseline();
+  ASSERT_TRUE(shared.is_ok());
+  BaselineArtifacts interpreted = *shared;
+  interpreted.program.reset();
   Result<Prediction> reference =
-      off->predict(whatif().with_faults(straggler_spec()));
+      api::predict_on(interpreted, whatif().with_faults(straggler_spec()));
   ASSERT_TRUE(fast.is_ok()) << fast.status().to_string();
   ASSERT_TRUE(reference.is_ok()) << reference.status().to_string();
   EXPECT_TRUE(fast->used_compiled_replay);
@@ -367,7 +371,7 @@ TEST(FaultFacade, DropoutThroughPredictIsAStructuredDeadlock) {
 }
 
 // ---------------------------------------------------------------------------
-// Facade wiring: contention path, plan caching, composition rules
+// Facade wiring: contention path, composition rules
 // ---------------------------------------------------------------------------
 
 TEST(FaultFacade, ContentionRunsOnTheInterpreterAndStretchesCollectives) {
@@ -393,19 +397,6 @@ TEST(FaultFacade, FaultsAndHooksAreMutuallyExclusive) {
                                               .with_faults(straggler_spec())
                                               .with_hooks("faults_test_hooks"));
   EXPECT_EQ(p.status().code(), ErrorCode::kInvalidArgument);
-}
-
-TEST(FaultFacade, SessionCachesPlansBySpecFingerprint) {
-  Result<Session> session = Session::create(tiny_scenario());
-  ASSERT_TRUE(session.is_ok());
-  const FaultSpec spec = straggler_spec();
-  ASSERT_TRUE(session->predict(whatif().with_faults(spec)).is_ok());
-  ASSERT_TRUE(session->predict(whatif().with_faults(spec)).is_ok());
-  EXPECT_EQ(session->cache_stats().fault_plans, 1u)
-      << "identical specs must share one lowered plan";
-  ASSERT_TRUE(
-      session->predict(whatif().with_faults(spec.scaled(0.5))).is_ok());
-  EXPECT_EQ(session->cache_stats().fault_plans, 2u);
 }
 
 TEST(FaultFacade, GridValidationIsEagerAndStructured) {

@@ -23,6 +23,7 @@
 #include "cluster/ground_truth.h"
 #include "core/simulator.h"
 #include "core/trace_parser.h"
+#include "io/mapped_file.h"
 #include "io/parallel_for.h"
 #include "trace/chrome_trace.h"
 #include "trace/content_hash.h"
@@ -134,9 +135,7 @@ std::string write_synthetic_fixture(const std::string& name) {
   return prefix;
 }
 
-trace::IoOptions workers(std::size_t n) {
-  return {.use_mmap = true, .ingest_workers = n};
-}
+trace::IoOptions workers(std::size_t n) { return {.ingest_workers = n}; }
 
 // ---------------------------------------------------------------------------
 // Discovery
@@ -311,9 +310,17 @@ TEST_F(ParallelIngest, NumericRankOrderWithoutPostSort) {
 }
 
 TEST_F(ParallelIngest, MmapOffPathIdenticalToo) {
-  trace::ClusterTrace buffered = trace::read_cluster_trace(
-      *prefix_, kSyntheticRanks,
-      {.use_mmap = false, .ingest_workers = 4});
+  // The buffered-read reference, one layer down: every rank file read
+  // through io::MappedFile's non-mmap path and SAX-parsed in discovery
+  // order into one cluster's shared pools.
+  trace::ClusterTrace buffered;
+  for (const trace::RankFile& file :
+       trace::discover_rank_files(*prefix_, kSyntheticRanks)) {
+    const io::MappedFile bytes =
+        io::MappedFile::open(file.path, /*use_mmap=*/false);
+    ASSERT_FALSE(bytes.is_mapped());
+    trace::parse_rank_trace_json(bytes.view(), buffered.add_rank(0));
+  }
   expect_bit_identical(buffered);
 }
 

@@ -18,8 +18,10 @@
 #include "io/mapped_file.h"
 #include "json/json.h"
 #include "trace/chrome_trace.h"
+#include "trace/ingest.h"
 #include "trace/json_writer.h"
 #include "test_util.h"
+#include "trace_dom.h"
 
 namespace lumos {
 namespace {
@@ -293,10 +295,15 @@ TEST(FileIngest, MmapAndBufferedParsesAreIdentical) {
   const ClusterTrace original = small_cluster();
   ASSERT_EQ(trace::write_cluster_trace(original, prefix), 3u);
 
-  const ClusterTrace via_mmap =
-      trace::read_cluster_trace(prefix, 3, {.use_mmap = true});
-  const ClusterTrace via_read =
-      trace::read_cluster_trace(prefix, 3, {.use_mmap = false});
+  const ClusterTrace via_mmap = trace::read_cluster_trace(prefix, 3);
+  // The buffered-read reference, one layer down: the same files through
+  // io::MappedFile's non-mmap path into the SAX parser.
+  ClusterTrace via_read;
+  for (const trace::RankFile& file : trace::discover_rank_files(prefix, 3)) {
+    const io::MappedFile bytes =
+        io::MappedFile::open(file.path, /*use_mmap=*/false);
+    trace::parse_rank_trace_json(bytes.view(), via_read.add_rank(0));
+  }
   ASSERT_EQ(via_mmap.ranks.size(), 3u);
   ASSERT_EQ(via_read.ranks.size(), 3u);
   for (std::size_t i = 0; i < 3; ++i) {
@@ -316,10 +323,10 @@ TEST(FileIngest, RankFileParsesSameAsString) {
   write_file(path, json);
 
   const RankTrace from_string = trace::rank_trace_from_json_string(json);
-  const RankTrace from_mmap =
-      trace::rank_trace_from_json_file(path, {.use_mmap = true});
-  const RankTrace from_read =
-      trace::rank_trace_from_json_file(path, {.use_mmap = false});
+  const RankTrace from_mmap = trace::rank_trace_from_json_file(path);
+  RankTrace from_read;
+  trace::parse_rank_trace_json(
+      io::MappedFile::open(path, /*use_mmap=*/false).view(), from_read);
   EXPECT_EQ(trace::to_json_string(from_mmap),
             trace::to_json_string(from_string));
   EXPECT_EQ(trace::to_json_string(from_read),

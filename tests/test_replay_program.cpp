@@ -591,17 +591,20 @@ TEST(ReplayProgram, ConcurrentReplayOfSharedProgram) {
 }  // namespace lumos::core
 
 // ---------------------------------------------------------------------------
-// Facade wiring: Scenario::with_compiled_replay, Prediction's
+// Facade wiring: compiled replay is always on. Prediction's
 // used_compiled_replay provenance flag, SweepReport::compiled_replays, and
-// serve::Engine::Options::compiled_replay. The contract is the same as at
-// the core layer — bit-identical results with the knob on or off — plus
-// correct provenance: hook-free structure-preserving predictions report the
-// compiled path, anything that rebuilds/fuses/hooks reports the interpreter.
+// serve::Engine's per-entry compile. The contract is the same as at the
+// core layer — bit-identical to the interpreter, which the tests reach one
+// layer down (api::replay_graph, or predict_on over a baseline whose
+// program was reset) — plus correct provenance: hook-free structure-
+// preserving predictions report the compiled path, anything that
+// rebuilds/fuses/hooks reports the interpreter.
 // ---------------------------------------------------------------------------
 
 namespace lumos {
 namespace {
 
+using api::BaselineArtifacts;
 using api::Prediction;
 using api::Scenario;
 using api::Session;
@@ -616,32 +619,41 @@ void expect_same_sim(const core::SimResult& a, const core::SimResult& b) {
   EXPECT_EQ(a.stuck_tasks, b.stuck_tasks);
 }
 
-Scenario tiny_scenario(bool compiled_replay) {
+Scenario tiny_scenario() {
   return Scenario::synthetic()
       .with_model(testutil::tiny_model())
       .with_parallelism(testutil::tiny_config())
-      .with_seed(123)
-      .with_compiled_replay(compiled_replay);
+      .with_seed(123);
 }
 
-TEST(FacadeCompiledReplay, SessionReplayBitIdenticalWithKnobOff) {
-  Result<Session> on = Session::create(tiny_scenario(true));
-  Result<Session> off = Session::create(tiny_scenario(false));
-  ASSERT_TRUE(on.is_ok()) << on.status().to_string();
-  ASSERT_TRUE(off.is_ok()) << off.status().to_string();
-  Result<const core::SimResult*> fast = on->replay();
-  Result<const core::SimResult*> reference = off->replay();
+/// The session's baseline with its compiled program dropped: predict_on
+/// over it is the interpreter reference for the same what-if.
+BaselineArtifacts interpreter_baseline(Session& session) {
+  Result<BaselineArtifacts> base = session.share_baseline();
+  EXPECT_TRUE(base.is_ok()) << base.status().to_string();
+  BaselineArtifacts out = *base;
+  out.program.reset();
+  return out;
+}
+
+TEST(FacadeCompiledReplay, SessionReplayBitIdenticalToInterpreter) {
+  Result<Session> session = Session::create(tiny_scenario());
+  ASSERT_TRUE(session.is_ok()) << session.status().to_string();
+  Result<const core::SimResult*> fast = session->replay();
   ASSERT_TRUE(fast.is_ok()) << fast.status().to_string();
+  ASSERT_NE(session->share_baseline()->program, nullptr);
+  Result<core::SimResult> reference = api::replay_graph(
+      **session->graph(), {.couple_collectives = true});
   ASSERT_TRUE(reference.is_ok()) << reference.status().to_string();
-  expect_same_sim(**fast, **reference);
+  expect_same_sim(**fast, *reference);
 }
 
 TEST(FacadeCompiledReplay, NoOpPredictReportsCompiledPath) {
-  Result<Session> on = Session::create(tiny_scenario(true));
-  Result<Session> off = Session::create(tiny_scenario(false));
-  ASSERT_TRUE(on.is_ok() && off.is_ok());
-  Result<Prediction> fast = on->predict();
-  Result<Prediction> reference = off->predict();
+  Result<Session> session = Session::create(tiny_scenario());
+  ASSERT_TRUE(session.is_ok()) << session.status().to_string();
+  Result<Prediction> fast = session->predict();
+  Result<Prediction> reference =
+      api::predict_on(interpreter_baseline(*session), whatif());
   ASSERT_TRUE(fast.is_ok()) << fast.status().to_string();
   ASSERT_TRUE(reference.is_ok()) << reference.status().to_string();
   EXPECT_TRUE(fast->used_compiled_replay);
@@ -661,7 +673,7 @@ TEST(FacadeCompiledReplay, HooksForceInterpreterFallback) {
   ASSERT_TRUE(Session::register_hooks("replay_identity_hooks", [] {
                 return std::make_unique<IdentityHooks>();
               }).is_ok());
-  Result<Session> session = Session::create(tiny_scenario(true));
+  Result<Session> session = Session::create(tiny_scenario());
   ASSERT_TRUE(session.is_ok());
   Result<Prediction> compiled = session->predict();
   Result<Prediction> hooked =
@@ -674,7 +686,7 @@ TEST(FacadeCompiledReplay, HooksForceInterpreterFallback) {
 }
 
 TEST(FacadeCompiledReplay, StructureChangingWhatIfsFallBack) {
-  Result<Session> session = Session::create(tiny_scenario(true));
+  Result<Session> session = Session::create(tiny_scenario());
   ASSERT_TRUE(session.is_ok());
   Result<Prediction> fused = session->predict(whatif().with_fusion());
   ASSERT_TRUE(fused.is_ok()) << fused.status().to_string();
@@ -686,7 +698,7 @@ TEST(FacadeCompiledReplay, StructureChangingWhatIfsFallBack) {
 }
 
 TEST(FacadeCompiledReplay, SweepCountsCompiledReplays) {
-  Result<Sweep> sweep = Sweep::create(tiny_scenario(true));
+  Result<Sweep> sweep = Sweep::create(tiny_scenario());
   ASSERT_TRUE(sweep.is_ok()) << sweep.status().to_string();
   sweep->add("noop_a", whatif());
   sweep->add("noop_b", whatif());
@@ -707,27 +719,27 @@ TEST(FacadeCompiledReplay, SweepCountsCompiledReplays) {
   }
 }
 
-TEST(FacadeCompiledReplay, SweepWithKnobOffNeverCompiles) {
-  Result<Sweep> off = Sweep::create(tiny_scenario(false));
-  ASSERT_TRUE(off.is_ok());
-  off->add("noop", whatif());
-  Result<api::SweepReport> report = off->run(1);
-  ASSERT_TRUE(report.is_ok());
-  EXPECT_EQ(report->compiled_replays, 0u);
+TEST(FacadeCompiledReplay, SweepNoOpRowMatchesInterpreter) {
+  Result<Session> session = Session::create(tiny_scenario());
+  ASSERT_TRUE(session.is_ok());
+  Result<Prediction> reference =
+      api::predict_on(interpreter_baseline(*session), whatif());
+  ASSERT_TRUE(reference.is_ok()) << reference.status().to_string();
+  EXPECT_FALSE(reference->used_compiled_replay);
 
-  Result<Sweep> on = Sweep::create(tiny_scenario(true));
-  ASSERT_TRUE(on.is_ok());
-  on->add("noop", whatif());
-  Result<api::SweepReport> fast = on->run(1);
+  Result<Sweep> sweep = Sweep::over(*session);
+  ASSERT_TRUE(sweep.is_ok());
+  sweep->add("noop", whatif());
+  Result<api::SweepReport> fast = sweep->run(1);
   ASSERT_TRUE(fast.is_ok());
-  ASSERT_TRUE(fast->rows[0].ok() && report->rows[0].ok());
-  expect_same_sim(fast->rows[0].prediction->sim,
-                  report->rows[0].prediction->sim);
+  EXPECT_EQ(fast->compiled_replays, 1u);
+  ASSERT_TRUE(fast->rows[0].ok());
+  expect_same_sim(fast->rows[0].prediction->sim, reference->sim);
 }
 
 TEST(FacadeCompiledReplay, ServeEngineCompilesOncePerBaseline) {
   const std::string path = ::testing::TempDir() + "replay_compiled.snap";
-  Result<Session> session = Session::create(tiny_scenario(true));
+  Result<Session> session = Session::create(tiny_scenario());
   ASSERT_TRUE(session.is_ok());
   ASSERT_TRUE(session->save_snapshot(path).is_ok());
 
@@ -735,7 +747,7 @@ TEST(FacadeCompiledReplay, ServeEngineCompilesOncePerBaseline) {
   request.method = serve::Method::kPredict;
   request.baseline = path;
 
-  serve::Engine fast_engine;  // compiled_replay defaults to true
+  serve::Engine fast_engine;
   Result<serve::Engine::Outcome> first = fast_engine.predict(request);
   Result<serve::Engine::Outcome> second = fast_engine.predict(request);
   ASSERT_TRUE(first.is_ok()) << first.status().to_string();
@@ -744,14 +756,14 @@ TEST(FacadeCompiledReplay, ServeEngineCompilesOncePerBaseline) {
   EXPECT_TRUE(second->prediction.used_compiled_replay);
   EXPECT_TRUE(second->baseline_was_cached);
 
-  serve::Engine::Options options;
-  options.compiled_replay = false;
-  serve::Engine reference_engine(options);
-  Result<serve::Engine::Outcome> interpreted =
-      reference_engine.predict(request);
+  // The reference: the same snapshot loaded without the engine's compile.
+  Result<BaselineArtifacts> loaded = api::load_baseline_snapshot(path);
+  ASSERT_TRUE(loaded.is_ok()) << loaded.status().to_string();
+  ASSERT_EQ(loaded->program, nullptr);
+  Result<Prediction> interpreted = api::predict_on(*loaded, whatif());
   ASSERT_TRUE(interpreted.is_ok());
-  EXPECT_FALSE(interpreted->prediction.used_compiled_replay);
-  expect_same_sim(first->prediction.sim, interpreted->prediction.sim);
+  EXPECT_FALSE(interpreted->used_compiled_replay);
+  expect_same_sim(first->prediction.sim, interpreted->sim);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include "trace/chrome_trace.h"
 #include "trace/event.h"
 #include "trace/validate.h"
+#include "trace_dom.h"
 
 namespace lumos::trace {
 namespace {
