@@ -4,7 +4,11 @@
 
 #include <set>
 
+#include "cluster/ground_truth.h"
+#include "core/graph_manipulator.h"
+#include "core/trace_parser.h"
 #include "costmodel/kernel_model.h"
+#include "io/fnv.h"
 #include "test_util.h"
 #include "workload/analytical_provider.h"
 #include "workload/graph_builder.h"
@@ -438,6 +442,112 @@ TEST(GraphBuilder, HeadAndEmbedOnlyOnBoundaryStages) {
       EXPECT_EQ(stage, 1);
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Builder goldens: FNV-1a over every task field and the full edge list of a
+// few representative builds. They pin the builders' exact output (task
+// order, names, annotations, durations, edges), so any change to how graphs
+// are constructed must reproduce these digests bit for bit.
+// ---------------------------------------------------------------------------
+
+std::uint64_t graph_digest(const core::ExecutionGraph& g) {
+  io::Fnv1a h;
+  auto str = [&h](std::string_view s) {
+    h.update_pod(static_cast<std::uint64_t>(s.size()));
+    h.update(s);
+  };
+  h.update_pod(static_cast<std::uint64_t>(g.size()));
+  for (std::size_t i = 0; i < g.size(); ++i) {
+    const core::Task t = g.task(static_cast<core::TaskId>(i));
+    const trace::TraceEvent& e = t.event;
+    h.update_pod(t.processor.rank);
+    h.update_pod(t.processor.gpu);
+    h.update_pod(t.processor.lane);
+    str(e.name);
+    h.update_pod(static_cast<std::uint8_t>(e.cat));
+    h.update_pod(e.ts_ns);
+    h.update_pod(e.dur_ns);
+    h.update_pod(e.pid);
+    h.update_pod(e.tid);
+    h.update_pod(e.correlation);
+    h.update_pod(e.stream);
+    h.update_pod(e.cuda_event);
+    h.update_pod(e.layer);
+    h.update_pod(e.microbatch);
+    str(e.phase);
+    str(e.block);
+    str(e.collective.op);
+    str(e.collective.group);
+    h.update_pod(e.collective.bytes);
+    h.update_pod(e.collective.group_size);
+    h.update_pod(e.collective.instance);
+    h.update_pod(e.gemm.m);
+    h.update_pod(e.gemm.n);
+    h.update_pod(e.gemm.k);
+    h.update_pod(e.bytes_moved);
+  }
+  h.update_pod(static_cast<std::uint64_t>(g.edges().size()));
+  for (const core::Edge& e : g.edges()) {
+    h.update_pod(e.src);
+    h.update_pod(e.dst);
+    h.update_pod(static_cast<std::uint8_t>(e.type));
+  }
+  return h.digest();
+}
+
+ParallelConfig fig7_base_config() {
+  ParallelConfig c;
+  c.tp = 2;
+  c.pp = 2;
+  c.dp = 4;
+  return c;
+}
+
+TEST(GraphBuilderGolden, Analytical15B2x2x4) {
+  cost::KernelPerfModel model{cost::HardwareSpec::h100_cluster()};
+  AnalyticalProvider provider(model);
+  IterationGraphBuilder builder(ModelSpec::gpt3_15b(), fig7_base_config(),
+                                provider);
+  const BuiltJob job = builder.build();
+  EXPECT_EQ(job.graph.size(), 36364u);
+  EXPECT_EQ(job.graph.edges().size(), 50036u);
+  EXPECT_EQ(graph_digest(job.graph), 18294517192479413847ULL);
+}
+
+TEST(GraphBuilderGolden, AnalyticalTiny) {
+  cost::KernelPerfModel model{cost::HardwareSpec::h100_cluster()};
+  AnalyticalProvider provider(model);
+  IterationGraphBuilder builder(testutil::tiny_model(),
+                                testutil::tiny_config(), provider);
+  const BuiltJob job = builder.build();
+  EXPECT_EQ(job.graph.size(), 6544u);
+  EXPECT_EQ(graph_digest(job.graph), 16180813455361219197ULL);
+}
+
+TEST(GraphBuilderGolden, TemplateRebuildsFromSeed1Baseline) {
+  const ModelSpec model = ModelSpec::gpt3_15b();
+  cluster::GroundTruthEngine engine(model, fig7_base_config());
+  const cluster::GroundTruthRun run = engine.run_profiled(1);
+  const core::ExecutionGraph profiled = core::TraceParser().parse(run.trace);
+  EXPECT_EQ(graph_digest(profiled), 6427957038123341176ULL);
+
+  cost::KernelPerfModel kernel_model{cost::HardwareSpec::h100_cluster()};
+  core::GraphManipulator manipulator(profiled, model, fig7_base_config(),
+                                     kernel_model);
+  EXPECT_EQ(manipulator.templates().num_cpu_keys(), 130u);
+  EXPECT_EQ(manipulator.templates().num_kernel_keys(), 47u);
+
+  const BuiltJob pp4 = manipulator.with_parallelism(4, 8);
+  EXPECT_EQ(pp4.graph.size(), 73384u);
+  EXPECT_EQ(graph_digest(pp4.graph), 14606569923102743797ULL);
+  EXPECT_EQ(manipulator.templates().fallback_count(), 320u);
+
+  const BuiltJob pp16 = manipulator.with_parallelism(16, 4);
+  EXPECT_EQ(pp16.graph.size(), 311040u);
+  EXPECT_EQ(graph_digest(pp16.graph), 3024315026119453418ULL);
+  // Cumulative over both rebuilds.
+  EXPECT_EQ(manipulator.templates().fallback_count(), 9280u);
 }
 
 }  // namespace
