@@ -23,6 +23,7 @@
 
 #include "analysis/interval_merge.h"
 #include "cluster/ground_truth.h"
+#include "core/graph_manipulator.h"
 #include "core/replay_program.h"
 #include "core/simulator.h"
 #include "core/trace_parser.h"
@@ -93,6 +94,38 @@ void BM_GraphBuild(benchmark::State& state) {
   state.counters["tasks"] = static_cast<double>(tasks);
 }
 BENCHMARK(BM_GraphBuild)->Arg(2)->Arg(8)->Arg(32)->Unit(benchmark::kMillisecond);
+
+workload::ParallelConfig fig7_base_config() {
+  workload::ParallelConfig config;
+  config.tp = 2;
+  config.pp = 2;
+  config.dp = 4;
+  return config;
+}
+
+// One fig7 what-if: the 15B 2x2x4 baseline (profiled at seed 1, parsed
+// once) rebuilt at pp=4, dp=8 through GraphManipulator — template
+// extraction plus graph construction, the per-variant cost of a sweep.
+void BM_Rebuild(benchmark::State& state) {
+  static const core::ExecutionGraph baseline = [] {
+    cluster::GroundTruthEngine engine(workload::ModelSpec::gpt3_15b(),
+                                      fig7_base_config());
+    return core::TraceParser().parse(engine.run_profiled(1).trace);
+  }();
+  cost::KernelPerfModel model;
+  std::size_t tasks = 0;
+  for (auto _ : state) {
+    core::GraphManipulator manipulator(
+        baseline, workload::ModelSpec::gpt3_15b(), fig7_base_config(), model);
+    workload::BuiltJob job = manipulator.with_parallelism(4, 8);
+    tasks = job.graph.size();
+    benchmark::DoNotOptimize(job);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(tasks) *
+                          state.iterations());
+  state.counters["tasks"] = static_cast<double>(tasks);
+}
+BENCHMARK(BM_Rebuild)->Unit(benchmark::kMillisecond);
 
 void BM_TraceParse(benchmark::State& state) {
   const auto& run = cached_run(static_cast<std::int32_t>(state.range(0)));
@@ -205,15 +238,16 @@ void BM_FaultedReplay(benchmark::State& state) {
 }
 BENCHMARK(BM_FaultedReplay)->Arg(8)->Arg(64)->Unit(benchmark::kMillisecond);
 
-// Cost of the build-time classification pass (TaskMetaTable::build): string
-// interning, lane assignment, rendezvous-group materialization. This is
-// what parse/build pays once so that every replay above touches only flat
-// columns.
+// Cost of the build-time classification pass (TaskMetaTable::build) over a
+// graph's id columns: lane assignment, flags, rendezvous-group
+// materialization, sync-target resolution. This is what parse/build pays
+// once so that every replay above touches only flat columns.
 void BM_MetaBuild(benchmark::State& state) {
   const auto& run = cached_run(static_cast<std::int32_t>(state.range(0)));
   core::ExecutionGraph graph = core::TraceParser().parse(run.trace);
+  const auto columns = std::make_shared<const core::TaskColumns>(graph.columns());
   for (auto _ : state) {
-    core::TaskMetaTable meta = core::TaskMetaTable::build(graph.tasks());
+    core::TaskMetaTable meta = core::TaskMetaTable::build(columns);
     benchmark::DoNotOptimize(meta);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(graph.size()) *

@@ -1,5 +1,7 @@
 #include "baseline/dpro.h"
 
+#include <vector>
+
 namespace lumos::baseline {
 
 core::ExecutionGraph dpro_graph(const core::ExecutionGraph& graph) {
@@ -9,35 +11,29 @@ core::ExecutionGraph dpro_graph(const core::ExecutionGraph& graph) {
   // is the cudaEventRecord/cudaStreamWaitEvent choreography ordering
   // overlapped collectives (TP/DP all-reduce) against compute — exactly the
   // paper's diagnosis of its overlap overestimation.
-  core::ExecutionGraph out;
-  for (const core::Task& t : graph.tasks()) {
-    core::Task copy = t;
-    copy.id = core::kInvalidTask;
-    out.add_task(std::move(copy));
-  }
+  //
   // dPRO's dataflow graph knows a collective's *inputs* (tensors produced
   // on the compute stream feed the all-reduce), so compute->comm edges and
   // all pipeline-transfer edges survive. What its graph lacks is the
   // event-based ordering from communication back into computation — the
   // comm->compute edges — which is what lets its replay overlap collectives
   // with the downstream compute that really waits for them. Classification
-  // comes from the meta table's precomputed flags — no string probes.
+  // comes from the meta table's precomputed flags — no string probes — and
+  // the view shares the graph's task columns and meta; only the edge list
+  // is filtered.
   const core::TaskMetaTable& meta = graph.meta();
   auto is_p2p = [&](core::TaskId id) {
     return meta.is_collective_kernel(id) && meta.is_p2p(id);
   };
+  std::vector<core::Edge> kept;
+  kept.reserve(graph.edges().size());
   for (const core::Edge& e : graph.edges()) {
     const bool missed_by_dpro = e.type == core::DepType::InterStream &&
                                 meta.is_collective_kernel(e.src) &&
                                 !is_p2p(e.src) && !is_p2p(e.dst);
-    if (missed_by_dpro) continue;
-    out.add_edge(e.src, e.dst, e.type);
+    if (!missed_by_dpro) kept.push_back(e);
   }
-  // Tasks are copied verbatim in id order, so the derived graph could share
-  // the meta table; finalize() rebuilds it defensively (ids match but the
-  // copy went through add_task).
-  out.finalize();
-  return out;
+  return graph.with_edges(std::move(kept));
 }
 
 core::SimResult replay_dpro(const core::ExecutionGraph& graph) {

@@ -1,7 +1,6 @@
 #include "core/execution_graph.h"
 
 #include <algorithm>
-#include <set>
 #include <stdexcept>
 
 namespace lumos::core {
@@ -19,21 +18,20 @@ std::string_view to_string(DepType type) {
   return "unknown";
 }
 
+ExecutionGraph::ExecutionGraph()
+    : ExecutionGraph(std::make_shared<trace::TracePools>()) {}
+
+ExecutionGraph::ExecutionGraph(std::shared_ptr<trace::TracePools> pools)
+    : tasks_(std::make_shared<TaskColumns>(
+          TaskColumns{trace::EventTable(std::move(pools)), {}, {}, {}})) {}
+
 ExecutionGraph::ExecutionGraph(const ExecutionGraph& other)
-    : edges_(other.edges_) {
+    : tasks_(other.tasks_), edges_(other.edges_) {
   // Carry valid caches over (the copy is often simulated immediately);
   // take the source's locks so a concurrent lazy build on `other` cannot be
-  // observed half-written. The meta table is immutable once built and
-  // depends only on tasks, so the copy *shares* it instead of re-deriving.
-  // A lazily sourced task vector stays lazy: the copy shares the immutable
-  // TaskSource and materializes independently on first demand.
-  {
-    MutexLock lock(other.tasks_mutex_);
-    tasks_ = other.tasks_;
-    task_source_ = other.task_source_;
-    tasks_valid_.store(other.tasks_valid_.load(std::memory_order_relaxed),
-                       std::memory_order_relaxed);
-  }
+  // observed half-written. Payload and meta table are immutable once built,
+  // so the copy *shares* them; a later mutation of either side clones the
+  // payload first (mutable_tasks).
   {
     MutexLock lock(other.adjacency_mutex_);
     if (other.adjacency_valid_.load(std::memory_order_relaxed)) {
@@ -62,7 +60,6 @@ ExecutionGraph& ExecutionGraph::operator=(const ExecutionGraph& other) {
 
 ExecutionGraph::ExecutionGraph(ExecutionGraph&& other) noexcept
     : tasks_(std::move(other.tasks_)),
-      task_source_(std::move(other.task_source_)),
       edges_(std::move(other.edges_)),
       succ_offsets_(std::move(other.succ_offsets_)),
       pred_offsets_(std::move(other.pred_offsets_)),
@@ -71,9 +68,6 @@ ExecutionGraph::ExecutionGraph(ExecutionGraph&& other) noexcept
       meta_(std::move(other.meta_)) {
   // Moving from a graph that is concurrently read is a caller bug (a move
   // mutates); no lock taken here.
-  tasks_valid_.store(other.tasks_valid_.load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
-  other.tasks_valid_.store(true, std::memory_order_relaxed);
   adjacency_valid_.store(
       other.adjacency_valid_.load(std::memory_order_relaxed),
       std::memory_order_relaxed);
@@ -86,10 +80,6 @@ ExecutionGraph::ExecutionGraph(ExecutionGraph&& other) noexcept
 ExecutionGraph& ExecutionGraph::operator=(ExecutionGraph&& other) noexcept {
   if (this == &other) return *this;
   tasks_ = std::move(other.tasks_);
-  task_source_ = std::move(other.task_source_);
-  tasks_valid_.store(other.tasks_valid_.load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
-  other.tasks_valid_.store(true, std::memory_order_relaxed);
   edges_ = std::move(other.edges_);
   succ_offsets_ = std::move(other.succ_offsets_);
   pred_offsets_ = std::move(other.pred_offsets_);
@@ -106,35 +96,92 @@ ExecutionGraph& ExecutionGraph::operator=(ExecutionGraph&& other) noexcept {
   return *this;
 }
 
-void ExecutionGraph::ensure_tasks() const {
-  if (tasks_valid_.load(std::memory_order_acquire)) return;
-  MutexLock lock(tasks_mutex_);
-  if (tasks_valid_.load(std::memory_order_relaxed)) return;
-  tasks_ = task_source_->materialize();
-  tasks_valid_.store(true, std::memory_order_release);
+const TaskColumns& ExecutionGraph::columns() const {
+  static const TaskColumns kMovedFrom{};
+  return tasks_ ? *tasks_ : kMovedFrom;
 }
 
-TaskId ExecutionGraph::add_task(Task task) {
-  ensure_tasks();
-  std::vector<Task>& tasks = tasks_unsync();  // build phase: single-threaded
-  task.id = static_cast<TaskId>(tasks.size());
-  tasks.push_back(std::move(task));
+TaskColumns& ExecutionGraph::mutable_tasks() {
+  // The meta table views the payload (and keeps it alive), so it is dropped
+  // first; a payload still shared after that belongs to a copy, too.
+  if (meta_valid_.load(std::memory_order_relaxed)) {
+    MutexLock lock(meta_mutex_);
+    meta_.reset();
+    meta_valid_.store(false, std::memory_order_relaxed);
+  }
+  if (!tasks_) {
+    tasks_ = std::make_shared<TaskColumns>();
+  } else if (tasks_.use_count() > 1) {
+    tasks_ = std::make_shared<TaskColumns>(*tasks_);
+  }
   adjacency_valid_.store(false, std::memory_order_relaxed);
-  invalidate_meta();
-  return tasks.back().id;
+  return *tasks_;
 }
 
-void ExecutionGraph::add_edge(TaskId src, TaskId dst, DepType type) {
+void ExecutionGraph::reserve(std::size_t tasks, std::size_t edges) {
+  TaskColumns& t = mutable_tasks();
+  t.events.reserve(tasks);
+  t.rank.reserve(tasks);
+  t.gpu.reserve(tasks);
+  t.lane.reserve(tasks);
+  edges_.reserve(edges);
+}
+
+Task ExecutionGraph::task(TaskId id) const {
+  const auto i = static_cast<std::size_t>(id);
+  return {id, columns().processor(i), events().materialize(i)};
+}
+
+TaskId ExecutionGraph::add_task(const Task& task) {
+  TaskColumns& t = mutable_tasks();
+  t.events.push_back(task.event);
+  t.push_processor(task.processor);
+  return static_cast<TaskId>(t.size() - 1);
+}
+
+TaskId ExecutionGraph::add_row(const Processor& processor,
+                               const trace::EventTable::Row& row,
+                               trace::CudaApi api) {
+  TaskColumns& t = mutable_tasks();
+  t.events.push_row(row, api);
+  t.push_processor(processor);
+  return static_cast<TaskId>(t.size() - 1);
+}
+
+void ExecutionGraph::append_events(const trace::EventTable& src,
+                                   std::span<const std::uint32_t> rows) {
+  TaskColumns& t = mutable_tasks();
+  t.events.append_rows(src, rows);
+  for (const std::uint32_t r : rows) {
+    t.push_processor({src.pid(r), src.is_gpu(r),
+                      static_cast<std::int64_t>(src.tid(r))});
+  }
+}
+
+void ExecutionGraph::append_tasks(const ExecutionGraph& src,
+                                  std::span<const std::uint32_t> rows) {
+  const TaskColumns& from = src.columns();
+  TaskColumns& t = mutable_tasks();
+  t.events.append_rows(from.events, rows);
+  for (const std::uint32_t r : rows) t.push_processor(from.processor(r));
+}
+
+void ExecutionGraph::detach_pools() { mutable_tasks().events.detach_pools(); }
+
+void ExecutionGraph::set_duration_ns(TaskId id, std::int64_t dur_ns) {
+  mutable_tasks().events.set_dur_ns(static_cast<std::size_t>(id), dur_ns);
+}
+
+void ExecutionGraph::set_name(TaskId id, trace::NameId name) {
+  mutable_tasks().events.set_name(static_cast<std::size_t>(id), name);
+}
+
+void ExecutionGraph::reject_edge(TaskId src, TaskId dst) {
   if (src == dst) {
     throw std::invalid_argument("ExecutionGraph: self edge on task " +
                                 std::to_string(src));
   }
-  const auto n = static_cast<TaskId>(size());
-  if (src < 0 || dst < 0 || src >= n || dst >= n) {
-    throw std::invalid_argument("ExecutionGraph: edge references invalid task");
-  }
-  edges_.push_back({src, dst, type});
-  adjacency_valid_.store(false, std::memory_order_relaxed);
+  throw std::invalid_argument("ExecutionGraph: edge references invalid task");
 }
 
 void ExecutionGraph::build_adjacency() const {
@@ -149,18 +196,22 @@ void ExecutionGraph::build_adjacency() const {
     succ_offsets_[i] += succ_offsets_[i - 1];
     pred_offsets_[i] += pred_offsets_[i - 1];
   }
-  succ_ids_.assign(edges_.size(), kInvalidTask);
-  pred_ids_.assign(edges_.size(), kInvalidTask);
-  std::vector<std::int32_t> succ_fill(succ_offsets_.begin(),
-                                      succ_offsets_.end() - 1);
-  std::vector<std::int32_t> pred_fill(pred_offsets_.begin(),
-                                      pred_offsets_.end() - 1);
+  // Fill with each node's offset as its cursor; afterwards offset[i] holds
+  // the old offset[i + 1], so one shift restores the index.
+  succ_ids_.resize(edges_.size());
+  pred_ids_.resize(edges_.size());
   for (const Edge& e : edges_) {
     succ_ids_[static_cast<std::size_t>(
-        succ_fill[static_cast<std::size_t>(e.src)]++)] = e.dst;
+        succ_offsets_[static_cast<std::size_t>(e.src)]++)] = e.dst;
     pred_ids_[static_cast<std::size_t>(
-        pred_fill[static_cast<std::size_t>(e.dst)]++)] = e.src;
+        pred_offsets_[static_cast<std::size_t>(e.dst)]++)] = e.src;
   }
+  for (std::size_t i = n; i > 0; --i) {
+    succ_offsets_[i] = succ_offsets_[i - 1];
+    pred_offsets_[i] = pred_offsets_[i - 1];
+  }
+  succ_offsets_[0] = 0;
+  pred_offsets_[0] = 0;
 }
 
 void ExecutionGraph::ensure_adjacency() const {
@@ -178,9 +229,8 @@ void ExecutionGraph::ensure_meta() const {
   if (meta_valid_.load(std::memory_order_acquire)) return;
   MutexLock lock(meta_mutex_);
   if (meta_valid_.load(std::memory_order_relaxed)) return;
-  ensure_tasks();
-  meta_ = std::make_shared<const TaskMetaTable>(
-      TaskMetaTable::build(tasks_unsync()));
+  meta_ = std::make_shared<const TaskMetaTable>(TaskMetaTable::build(
+      tasks_ ? tasks_ : std::make_shared<TaskColumns>()));
   meta_valid_.store(true, std::memory_order_release);
 }
 
@@ -189,23 +239,8 @@ const TaskMetaTable& ExecutionGraph::meta() const {
   return *meta_;
 }
 
-void ExecutionGraph::finalize(std::shared_ptr<trace::TracePools> pools) {
-  if (pools) {
-    // Build eagerly with the producer's pools (the trace's, for parsed
-    // graphs) so names/ops/groups keep their trace ids and are stored once.
-    // finalize() runs in the single-threaded build phase, before the graph
-    // is published; if a table already exists (e.g. re-finalizing), the
-    // existing one wins — seeding is an ingest-time-only optimization.
-    ensure_tasks();
-    MutexLock lock(meta_mutex_);
-    if (!meta_valid_.load(std::memory_order_relaxed)) {
-      meta_ = std::make_shared<const TaskMetaTable>(
-          TaskMetaTable::build(tasks_unsync(), std::move(pools)));
-      meta_valid_.store(true, std::memory_order_release);
-    }
-  } else {
-    ensure_meta();
-  }
+void ExecutionGraph::finalize() {
+  ensure_meta();
   ensure_adjacency();
 }
 
@@ -230,9 +265,11 @@ std::vector<std::int32_t> ExecutionGraph::in_degrees() const {
 }
 
 std::vector<std::int32_t> ExecutionGraph::ranks() const {
-  std::set<std::int32_t> ranks;
-  for (const Task& t : tasks()) ranks.insert(t.processor.rank);
-  return {ranks.begin(), ranks.end()};
+  const io::Column<std::int32_t>& rank = columns().rank;
+  std::vector<std::int32_t> out(rank.begin(), rank.end());
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
 }
 
 std::size_t EdgeTypeHistogram::total() const {
@@ -275,28 +312,16 @@ bool ExecutionGraph::is_acyclic(TaskId* cycle_hint) const {
   return false;
 }
 
-ExecutionGraph ExecutionGraph::without_edges(DepType drop) const {
+ExecutionGraph ExecutionGraph::with_edges(std::vector<Edge> edges) const {
   ExecutionGraph out;
-  // Propagate laziness: a snapshot-loaded graph's ablation copy shares the
-  // immutable TaskSource instead of forcing materialization here.
-  {
-    // `out` is local, so its lock is uncontended — taken anyway so the
-    // analysis can check the cross-object copy instead of being escaped.
-    MutexLock out_lock(out.tasks_mutex_);
-    MutexLock lock(tasks_mutex_);
-    out.tasks_ = tasks_;
-    out.task_source_ = task_source_;
-    out.tasks_valid_.store(tasks_valid_.load(std::memory_order_relaxed),
-                           std::memory_order_relaxed);
-  }
-  out.edges_.reserve(edges_.size());
-  for (const Edge& e : edges_) {
-    if (e.type != drop) out.edges_.push_back(e);
-  }
+  out.tasks_ = tasks_;
+  out.edges_ = std::move(edges);
   // Tasks are identical, so the derived graph shares this one's meta table
   // (building it here if needed keeps ablation replays off the lazy path).
   ensure_meta();
   {
+    // `out` is local, so its lock is uncontended — taken anyway so the
+    // analysis can check the cross-object copy instead of being escaped.
     MutexLock out_lock(out.meta_mutex_);
     MutexLock lock(meta_mutex_);
     out.meta_ = meta_;
@@ -305,9 +330,18 @@ ExecutionGraph ExecutionGraph::without_edges(DepType drop) const {
   return out;
 }
 
+ExecutionGraph ExecutionGraph::without_edges(DepType drop) const {
+  std::vector<Edge> kept;
+  kept.reserve(edges_.size());
+  for (const Edge& e : edges_) {
+    if (e.type != drop) kept.push_back(e);
+  }
+  return with_edges(std::move(kept));
+}
+
 std::int64_t ExecutionGraph::total_duration_ns() const {
   std::int64_t total = 0;
-  for (const Task& t : tasks()) total += t.duration_ns();
+  for (const std::int64_t dur : events().dur_column()) total += dur;
   return total;
 }
 

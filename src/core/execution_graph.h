@@ -4,21 +4,25 @@
 // ground-truth engine and manipulated-graph prediction). Edges are stored
 // flat and indexed into CSR adjacency on demand.
 //
-// Data layer: alongside the authoring-representation tasks() vector, the
-// graph owns a columnar TaskMetaTable (core/task_meta.h) — interned string
-// handles, per-task CudaApi/category/flags, dense LaneIds and collective
-// rendezvous groups, all classified once. Producers call finalize() when a
+// Data layer: the task payload is columnar — TaskColumns (core/task.h), a
+// trace::EventTable of one row per task plus rank/gpu/lane processor
+// columns. Producers append rows with pre-interned string ids (builders,
+// the parser's gather, fusion's row copy, the snapshot loader's zero-copy
+// columns); Task is only a read-only view materialized by task(id). The
+// graph also owns a TaskMetaTable (core/task_meta.h) — per-task CudaApi /
+// category / flags, dense LaneIds and collective rendezvous groups,
+// classified once from the id columns. Producers call finalize() when a
 // graph is fully built; meta() also builds lazily for hand-assembled
-// graphs. The table depends only on the task payload, so copies and
-// edge-dropped derivations (without_edges) share it.
+// graphs. Payload and meta are shared by copies and by edge-filtered
+// derivations (with_edges / without_edges).
 //
-// Thread safety: mutation (add_task / add_edge / non-const tasks()) is not
-// synchronized — build the graph on one thread. Once built, every const
-// member is safe to call from any number of threads concurrently: the lazily
-// built CSR adjacency cache and the TaskMetaTable are each guarded by
-// double-checked locking, so a frozen graph can back many Simulator
-// instances at once (api::Sweep fans scenario variants out over exactly
-// this shared-const-graph shape).
+// Thread safety: mutation (add_task / add_row / append_* / set_* /
+// add_edge) is not synchronized — build the graph on one thread. Once
+// built, every const member is safe to call from any number of threads
+// concurrently: nothing interns, and the lazily built CSR adjacency cache
+// and TaskMetaTable are each guarded by double-checked locking, so a frozen
+// graph can back many Simulator instances at once (api::Sweep fans
+// scenario variants out over exactly this shared-const-graph shape).
 #pragma once
 
 #include <array>
@@ -30,26 +34,12 @@
 #include <vector>
 
 #include "core/task.h"
+#include "trace/event_table.h"
 #include "core/task_meta.h"
 #include "support/mutex.h"
 #include "support/thread_annotations.h"
 
 namespace lumos::core {
-
-/// Deferred producer of a graph's authoring-representation Task vector.
-/// The snapshot loader installs one over its zero-copy columns so that a
-/// loaded graph is ready without materializing ~100k Tasks (each with
-/// owning event strings) up front; the simulator's hot path reads only
-/// meta() and never triggers it. Consumers that do need Tasks (to_trace,
-/// hooks, fusion, graph manipulation) pay the materialization once, on
-/// first access. Implementations must be immutable and thread-safe.
-class TaskSource {
- public:
-  virtual ~TaskSource() = default;
-  virtual std::size_t count() const = 0;
-  /// Builds the full task vector (ids 0..count-1 in order).
-  virtual std::vector<Task> materialize() const = 0;
-};
 
 /// Count of edges per dependency type, indexable by DepType (a dense enum).
 /// Iteration yields (type, count) entries for the types present (count > 0),
@@ -105,11 +95,15 @@ class EdgeTypeHistogram {
 
 class ExecutionGraph {
  public:
-  ExecutionGraph() = default;
+  /// An empty graph interning into fresh pools.
+  ExecutionGraph();
+  /// An empty graph whose event rows intern into (or, for gathers, share)
+  /// `pools` — TraceParser passes the trace's pools so trace ids == graph
+  /// ids and nothing is re-interned.
+  explicit ExecutionGraph(std::shared_ptr<trace::TracePools> pools);
   // The caches hold mutexes/atomics, so copies and moves are spelled out:
-  // payload (tasks, edges) transfers, cache state of the source is carried
-  // over where cheap (copy shares the immutable meta table) or rebuilt
-  // lazily (move).
+  // the payload is shared (copy) or transferred (move); valid caches carry
+  // over.
   ExecutionGraph(const ExecutionGraph& other);
   ExecutionGraph& operator=(const ExecutionGraph& other);
   ExecutionGraph(ExecutionGraph&& other) noexcept;
@@ -120,40 +114,61 @@ class ExecutionGraph {
   ExecutionGraph& operator=(ExecutionGraph&& other) noexcept
       LUMOS_NO_THREAD_SAFETY_ANALYSIS;
 
-  /// Appends a task, assigning the next id (= program order). Returns it.
-  TaskId add_task(Task task);
+  // -- building (single-threaded; each append assigns the next id) ---------
+  /// Convenience for tests and hand-built graphs: interns `task.event`'s
+  /// strings and appends one row. Returns the new id (= program order).
+  TaskId add_task(const Task& task);
+  /// Appends one row whose string ids are already interned in pools(), with
+  /// its CUDA API classified by the caller — the builders' path.
+  TaskId add_row(const Processor& processor,
+                 const trace::EventTable::Row& row, trace::CudaApi api);
+  /// Appends rows `rows` of a trace table as tasks, in order, on processor
+  /// (pid, is_gpu, tid) — the trace convention. A pure gather when `src`
+  /// shares pools() (see trace::EventTable::append_rows).
+  void append_events(const trace::EventTable& src,
+                     std::span<const std::uint32_t> rows);
+  /// Appends tasks `rows` of `src`, processors included — a row copy.
+  void append_tasks(const ExecutionGraph& src,
+                    std::span<const std::uint32_t> rows);
+  /// Capacity hint for producers that know (or can estimate) the final
+  /// size: the columns then grow without reallocation.
+  void reserve(std::size_t tasks, std::size_t edges);
+  /// Moves this graph onto a private copy of its pools (same ids) so that
+  /// interning new strings cannot race readers of a shared pool set.
+  void detach_pools();
+  /// Explicit column mutators: tasks are read-only views, so in-place edits
+  /// go through these (each invalidates the meta table).
+  void set_duration_ns(TaskId id, std::int64_t dur_ns);
+  void set_name(TaskId id, trace::NameId name);
 
   /// Adds a fixed dependency edge. Self-edges and invalid ids are rejected
   /// with std::invalid_argument.
-  void add_edge(TaskId src, TaskId dst, DepType type);
+  void add_edge(TaskId src, TaskId dst, DepType type) {
+    const auto n = static_cast<TaskId>(size());
+    if (src == dst || src < 0 || dst < 0 || src >= n || dst >= n) {
+      reject_edge(src, dst);
+    }
+    edges_.push_back({src, dst, type});
+    adjacency_valid_.store(false, std::memory_order_relaxed);
+  }
 
-  const std::vector<Task>& tasks() const {
-    ensure_tasks();
-    return tasks_unsync();
-  }
-  /// Mutable task access invalidates the meta table — the columns mirror
-  /// task payloads, so any in-place edit forces a rebuild on next meta().
-  std::vector<Task>& tasks() {
-    ensure_tasks();
-    invalidate_meta();
-    return tasks_unsync();
-  }
-  const Task& task(TaskId id) const {
-    ensure_tasks();
-    return tasks_unsync()[static_cast<std::size_t>(id)];
-  }
-  Task& task(TaskId id) {
-    ensure_tasks();
-    invalidate_meta();
-    return tasks_unsync()[static_cast<std::size_t>(id)];
-  }
-  /// Task count — available without materializing a lazy task source.
-  std::size_t size() const {
-    return tasks_valid_.load(std::memory_order_acquire)
-               ? tasks_unsync().size()
-               : task_source_->count();
-  }
+  // -- reading --------------------------------------------------------------
+  std::size_t size() const { return tasks_ ? tasks_->size() : 0; }
   bool empty() const { return size() == 0; }
+
+  /// Materialized view of one task (report and hook boundaries; hot paths
+  /// read meta() or the columns).
+  Task task(TaskId id) const;
+  Processor processor(TaskId id) const {
+    return columns().processor(static_cast<std::size_t>(id));
+  }
+  /// The task payload: event columns plus processor columns, by TaskId.
+  const TaskColumns& columns() const;
+  const trace::EventTable& events() const { return columns().events; }
+  /// The pools every string id of this graph (events and meta) resolves in.
+  const std::shared_ptr<trace::TracePools>& pools() const {
+    return events().pools();
+  }
 
   const std::vector<Edge>& edges() const { return edges_; }
 
@@ -169,15 +184,10 @@ class ExecutionGraph {
   const TaskMetaTable& meta() const LUMOS_NO_THREAD_SAFETY_ANALYSIS;
 
   /// Eagerly builds the derived indexes (meta table + adjacency). Producers
-  /// call this once a graph is fully built, so all semantic classification
-  /// and string interning happens at build time, before the graph is
-  /// published to (possibly concurrent) consumers.
-  ///
-  /// `pools` optionally seeds the meta table's string pools — TraceParser
-  /// passes the trace's own TracePools so every string of a parsed trace is
-  /// interned exactly once end-to-end (trace ids == graph ids). Lazy
-  /// rebuilds after mutation always use fresh pools.
-  void finalize(std::shared_ptr<trace::TracePools> pools = nullptr);
+  /// call this once a graph is fully built, so all classification happens
+  /// at build time, before the graph is published to (possibly concurrent)
+  /// consumers.
+  void finalize();
 
   /// Successor task ids of `id` (fixed edges only). Valid until the next
   /// mutation; builds the adjacency index lazily.
@@ -204,16 +214,19 @@ class ExecutionGraph {
   /// fills `cycle_hint` with a task on a cycle otherwise.
   bool is_acyclic(TaskId* cycle_hint = nullptr) const;
 
-  /// Returns a copy with all edges of `drop` removed (ablation support,
-  /// also how the dPRO baseline graph is derived). The meta table is shared
-  /// with this graph — it depends only on tasks, which are identical.
+  /// A graph sharing this one's task payload and meta table with `edges` as
+  /// its edge set (ids must be valid here) — how edge-filtered derivations
+  /// such as the dPRO view cost no task copy.
+  ExecutionGraph with_edges(std::vector<Edge> edges) const;
+
+  /// Returns a copy with all edges of `drop` removed (ablation support).
   ExecutionGraph without_edges(DepType drop) const;
 
   /// Sum of task durations per processor (used in analysis & tests).
   std::int64_t total_duration_ns() const;
 
  private:
-  friend struct lumos::snapshot::Access;  // installs columns + task source
+  friend struct lumos::snapshot::Access;  // installs payload + meta columns
 
   void build_adjacency() const LUMOS_REQUIRES(adjacency_mutex_);
   /// Builds the adjacency index if missing. Safe to race from const
@@ -222,36 +235,15 @@ class ExecutionGraph {
   /// Builds the meta table if missing; same double-checked discipline on
   /// `meta_valid_` under `meta_mutex_`.
   void ensure_meta() const LUMOS_EXCLUDES(meta_mutex_);
-  /// Materializes tasks from a lazy task source if not yet present; same
-  /// double-checked discipline on `tasks_valid_` under `tasks_mutex_`.
-  void ensure_tasks() const LUMOS_EXCLUDES(tasks_mutex_);
-  void invalidate_meta() {
-    meta_valid_.store(false, std::memory_order_relaxed);
-  }
+  [[noreturn]] static void reject_edge(TaskId src, TaskId dst);
+  /// Called by every mutator: the payload is about to change, so a payload
+  /// still shared with a copy is cloned first, and the derived indexes are
+  /// dropped.
+  TaskColumns& mutable_tasks();
 
-  /// Analysis escape for the double-checked fast path: tasks_ may be read
-  /// without tasks_mutex_ because (a) every const reader arrives through
-  /// ensure_tasks(), whose acquire-load of tasks_valid_ pairs with the
-  /// builder's release-store — from publication until the next mutation the
-  /// vector is immutable — and (b) mutators (add_task, non-const tasks())
-  /// run in the documented single-threaded build phase. All other access
-  /// takes tasks_mutex_ and stays under full analysis.
-  const std::vector<Task>& tasks_unsync() const
-      LUMOS_NO_THREAD_SAFETY_ANALYSIS {
-    return tasks_;
-  }
-  std::vector<Task>& tasks_unsync() LUMOS_NO_THREAD_SAFETY_ANALYSIS {
-    return tasks_;
-  }
-
-  // Task storage. Eagerly built graphs keep tasks_ directly (tasks_valid_
-  // true from construction); snapshot-loaded graphs start with a TaskSource
-  // and materialize on first demand (mutable cache, double-checked).
-  mutable Mutex tasks_mutex_;
-  mutable std::vector<Task> tasks_ LUMOS_GUARDED_BY(tasks_mutex_);
-  mutable std::atomic<bool> tasks_valid_{true};
-  std::shared_ptr<const TaskSource> task_source_;
-
+  // Task payload, null only in a moved-from graph. Shared (copy-on-write)
+  // with copies and with_edges derivations; immutable once published.
+  std::shared_ptr<TaskColumns> tasks_;
   std::vector<Edge> edges_;
 
   // Lazily built CSR adjacency (mutable cache). `adjacency_valid_` is an

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
-#include <map>
 #include <queue>
 
 #include "core/task_meta.h"
@@ -12,38 +11,46 @@ namespace lumos::core {
 
 std::int64_t SimResult::rank_end_ns(const ExecutionGraph& graph,
                                     std::int32_t rank) const {
+  // Lanes of `rank` from the lane table, then one pass over the lane column.
+  const TaskMetaTable& meta = graph.meta();
+  const LaneTable& lanes = meta.lanes();
+  std::vector<std::uint8_t> on_rank(lanes.size(), 0);
+  for (std::size_t l = 0; l < lanes.size(); ++l) {
+    on_rank[l] = lanes.processor(static_cast<LaneId>(l)).rank == rank;
+  }
   std::int64_t hi = 0;
-  for (const Task& t : graph.tasks()) {
-    if (t.processor.rank == rank) {
-      hi = std::max(hi, end_ns[static_cast<std::size_t>(t.id)]);
+  for (std::size_t i = 0; i < graph.size(); ++i) {
+    if (on_rank[static_cast<std::size_t>(meta.lane(static_cast<TaskId>(i)))]) {
+      hi = std::max(hi, end_ns[i]);
     }
   }
   return hi;
 }
 
 trace::ClusterTrace SimResult::to_trace(const ExecutionGraph& graph) const {
-  // Group tasks by rank first, then materialize each rank's columnar table
-  // directly — all ranks intern into one fresh TracePools (the
-  // one-pool-per-trace rule). The pools are fresh rather than shared with
-  // the graph's meta table: to_trace() may run concurrently over a shared
-  // frozen graph, and interning the phase/block annotations (which the meta
-  // table does not hold) into a shared pool would race.
-  std::map<std::int32_t, std::vector<const Task*>> by_rank;
-  for (const Task& t : graph.tasks()) {
-    by_rank[t.processor.rank].push_back(&t);
+  // Each rank's table is a gather of the graph's event columns, re-timed
+  // with the simulated schedule. The trace shares the graph's pools: no
+  // string is interned, so concurrent to_trace() calls over one frozen
+  // graph are safe.
+  const std::vector<std::int32_t> ranks = graph.ranks();  // ascending
+  const io::Column<std::int32_t>& task_rank = graph.columns().rank;
+  std::vector<std::vector<std::uint32_t>> rows(ranks.size());
+  for (std::size_t i = 0; i < graph.size(); ++i) {
+    const auto r = std::lower_bound(ranks.begin(), ranks.end(), task_rank[i]);
+    rows[static_cast<std::size_t>(r - ranks.begin())].push_back(
+        static_cast<std::uint32_t>(i));
   }
-  trace::ClusterTrace out;
-  out.ranks.reserve(by_rank.size());
-  for (const auto& [rank_id, rank_tasks] : by_rank) {
-    trace::RankTrace& rank = out.add_rank(rank_id);
-    rank.events.reserve(rank_tasks.size());
-    for (const Task* t : rank_tasks) {
-      const auto i = static_cast<std::size_t>(t->id);
-      trace::TraceEvent e = t->event;
-      e.ts_ns = start_ns[i];
-      e.dur_ns = end_ns[i] - start_ns[i];
-      e.pid = t->processor.rank;
-      rank.events.push_back(e);
+  trace::ClusterTrace out(graph.pools());
+  out.ranks.reserve(ranks.size());
+  for (std::size_t r = 0; r < ranks.size(); ++r) {
+    trace::RankTrace& rank = out.add_rank(ranks[r]);
+    rank.events.reserve(rows[r].size());
+    rank.events.append_rows(graph.events(), rows[r]);
+    for (std::size_t j = 0; j < rows[r].size(); ++j) {
+      const std::uint32_t i = rows[r][j];
+      rank.events.set_ts_ns(j, start_ns[i]);
+      rank.events.set_dur_ns(j, end_ns[i] - start_ns[i]);
+      rank.events.set_pid(j, ranks[r]);
     }
     rank.sort_by_time();
   }
@@ -58,8 +65,8 @@ namespace {
 /// dense indices (per-lane state is a flat vector), the CUDA API and
 /// collective classification are precomputed bytes, runtime-dependency
 /// targets are pre-resolved lane/task ids, and rendezvous groups are dense
-/// member lists. The Task structs (and their heap strings) are touched only
-/// when user hooks ask for them.
+/// member lists. A Task view is materialized only when user hooks ask for
+/// one.
 class Run {
  public:
   Run(const ExecutionGraph& graph, const SimOptions& options)
@@ -139,7 +146,7 @@ class Run {
 
   /// Duration of a non-collective task: hooks when provided, otherwise the
   /// profiled duration straight from the meta column (identical value, no
-  /// virtual call, no Task deref).
+  /// virtual call, no Task view).
   std::int64_t task_duration(TaskId id) const {
     return hooks_ != nullptr ? hooks_->task_duration_ns(graph_.task(id))
                              : meta_.duration_ns(id);

@@ -26,9 +26,8 @@
 // (core/task_meta.h) — dense LaneIds instead of Processor-keyed maps,
 // precomputed CudaApi / collective flags instead of per-pick string parses,
 // pre-resolved sync targets, and materialized rendezvous groups. Task
-// structs (with their heap strings) are dereferenced only to serve user
-// hooks; with no hooks installed the simulator replays the meta duration
-// column directly.
+// views (core/task.h) are materialized only to serve user hooks; with no
+// hooks installed the simulator replays the meta duration column directly.
 //
 // Thread safety: run() is const and allocates all per-run state locally, so
 // any number of Simulators — or repeated runs of one Simulator — may execute

@@ -16,6 +16,7 @@
 #include <string>
 #include <string_view>
 
+#include "io/column.h"
 #include "trace/event.h"
 
 namespace lumos::core {
@@ -54,7 +55,7 @@ inline constexpr std::size_t kDepTypeCount = 7;
 
 std::string_view to_string(DepType type);
 
-/// One node of the execution graph.
+/// One node of the execution graph, as a read-only value view.
 ///
 /// `event` carries all semantic metadata (name, category, CUDA API,
 /// annotations); `processor` locates the task; `id` doubles as the task's
@@ -62,12 +63,10 @@ std::string_view to_string(DepType type);
 /// to stream S before task T" is exactly "GPU tasks on S with id < T.id".
 /// That property is what lets Algorithm 1 resolve runtime dependencies.
 ///
-/// Task is the *authoring* representation: producers build and manipulate
-/// graphs through it, and hooks / report boundaries read it. The simulator
-/// and graph-level analyses instead read ExecutionGraph::meta() — the
-/// columnar TaskMetaTable (core/task_meta.h) that classifies every task
-/// once (interned name/op/group ids, CudaApi, dense LaneId, duration) so
-/// the hot paths never touch strings or this struct's TraceEvent payload.
+/// The graph does not store Tasks: its payload is TaskColumns (below), and
+/// ExecutionGraph::task(id) materializes this view only at report and hook
+/// boundaries. The simulator and graph-level analyses read the columnar
+/// TaskMetaTable (core/task_meta.h) instead.
 struct Task {
   TaskId id = kInvalidTask;
   Processor processor;
@@ -80,6 +79,26 @@ struct Task {
   /// True for NCCL collective kernels (used by coupling & manipulation).
   bool is_collective_kernel() const {
     return is_gpu() && event.collective.valid();
+  }
+};
+
+/// The task payload of an ExecutionGraph, one row per TaskId: the event
+/// columns (string ids interned into the table's one TracePools) plus the
+/// processor of every task as three scalar columns.
+struct TaskColumns {
+  trace::EventTable events;
+  io::Column<std::int32_t> rank;
+  io::Column<std::uint8_t> gpu;
+  io::Column<std::int64_t> lane;
+
+  std::size_t size() const { return events.size(); }
+  Processor processor(std::size_t i) const {
+    return {rank[i], gpu[i] != 0, lane[i]};
+  }
+  void push_processor(const Processor& p) {
+    rank.push_back(p.rank);
+    gpu.push_back(p.gpu ? 1 : 0);
+    lane.push_back(p.lane);
   }
 };
 

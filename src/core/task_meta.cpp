@@ -1,7 +1,9 @@
 #include "core/task_meta.h"
 
 #include <algorithm>
+#include <limits>
 #include <map>
+#include <unordered_map>
 #include <utility>
 
 namespace lumos::core {
@@ -30,81 +32,152 @@ TaskMeta TaskMetaTable::row(TaskId id) const {
   return m;
 }
 
-TaskMetaTable TaskMetaTable::build(const std::vector<Task>& tasks,
-                                   std::shared_ptr<trace::TracePools> pools) {
+namespace {
+
+/// First-appearance lane numbering without hashing: tasks arrive grouped by
+/// rank, so a rank switch scans the (short) rank list and every other task
+/// searches its rank's handful of lanes linearly.
+class LaneNumbering {
+ public:
+  explicit LaneNumbering(std::vector<Processor>& lanes) : lanes_(lanes) {}
+
+  LaneId operator()(const Processor& p) {
+    if (current_ < 0 || by_rank_[static_cast<std::size_t>(current_)].first !=
+                            p.rank) {
+      switch_rank(p.rank);
+    }
+    std::vector<LaneId>& rank_lanes =
+        by_rank_[static_cast<std::size_t>(current_)].second;
+    for (const LaneId l : rank_lanes) {
+      const Processor& q = lanes_[static_cast<std::size_t>(l)];
+      if (q.gpu == p.gpu && q.lane == p.lane) return l;
+    }
+    const auto l = static_cast<LaneId>(lanes_.size());
+    lanes_.push_back(p);
+    rank_lanes.push_back(l);
+    return l;
+  }
+
+ private:
+  void switch_rank(std::int32_t rank) {
+    for (std::size_t r = 0; r < by_rank_.size(); ++r) {
+      if (by_rank_[r].first == rank) {
+        current_ = static_cast<std::int32_t>(r);
+        return;
+      }
+    }
+    current_ = static_cast<std::int32_t>(by_rank_.size());
+    by_rank_.push_back({rank, {}});
+  }
+
+  std::vector<Processor>& lanes_;
+  std::vector<std::pair<std::int32_t, std::vector<LaneId>>> by_rank_;
+  std::int32_t current_ = -1;
+};
+
+/// Key of a coupled rendezvous: (communicator group id, instance).
+struct GroupHash {
+  std::size_t operator()(const std::pair<std::uint32_t, std::int64_t>& k) const {
+    return std::hash<std::int64_t>{}(k.second * 0x9E3779B97F4A7C15LL ^
+                                     k.first);
+  }
+};
+
+/// One cudaEventRecord: (rank, CUDA event id, task).
+struct Record {
+  std::int32_t rank;
+  std::int64_t event;
+  TaskId id;
+  auto operator<=>(const Record&) const = default;
+};
+
+}  // namespace
+
+namespace {
+
+/// A meta column viewing `column` of the payload, which it keeps alive.
+template <class T>
+io::Column<T> borrow(std::span<const T> column,
+                     const std::shared_ptr<const TaskColumns>& payload) {
+  return io::Column<T>::borrow(column.data(), column.size(), payload);
+}
+
+}  // namespace
+
+TaskMetaTable TaskMetaTable::build(
+    std::shared_ptr<const TaskColumns> payload) {
+  const TaskColumns& tasks = *payload;
+  const trace::EventTable& e = tasks.events;
   TaskMetaTable t;
-  t.pools_ = pools ? std::move(pools)
-                   : std::make_shared<trace::TracePools>();
+  t.pools_ = e.pools();
   const std::size_t n = tasks.size();
-  t.cat_.resize(n);
-  t.api_.resize(n);
-  t.flags_.assign(n, 0);
-  t.lane_.resize(n);
-  t.dur_.resize(n);
-  t.ts_.resize(n);
-  t.name_.resize(n);
-  t.coll_op_.assign(n, trace::OpId::kInvalidIndex);
-  t.coll_group_.assign(n, trace::GroupId::kInvalidIndex);
-  t.coll_instance_.assign(n, -1);
-  t.group_idx_.assign(n, -1);
-  t.sync_lane_.assign(n, kInvalidLane);
-  t.sync_before_.assign(n, kInvalidTask);
+  // Columns the event table already classifies are views of the payload:
+  // category and CUDA API bytes, durations, start times and name ids.
+  t.cat_ = borrow(e.category_column(), payload);
+  t.api_ = borrow(e.api_column(), payload);
+  t.dur_ = borrow(e.dur_column(), payload);
+  t.ts_ = borrow(e.ts_column(), payload);
+  t.name_ = borrow(e.name_column(), payload);
+  std::vector<std::uint8_t> flags(n, 0);
+  std::vector<LaneId> lane(n);
+  std::vector<std::uint32_t> coll_op(n, trace::OpId::kInvalidIndex);
+  std::vector<std::uint32_t> coll_group(n, trace::GroupId::kInvalidIndex);
+  std::vector<std::int64_t> coll_instance(n, -1);
+  std::vector<std::int32_t> group_idx(n, -1);
+
+  // Point-to-point ops by id: a lookup, never an intern (the pools may be
+  // shared with a trace other threads are reading).
+  const std::uint32_t send_op = t.pools_->ops.find("send");
+  const std::uint32_t recv_op = t.pools_->ops.find("recv");
 
   // Pass 1: lanes in first-appearance order, plus per-task classification.
-  std::map<Processor, LaneId> lane_of;  // lumos-lint: allow(H002) build pass
-  std::map<std::pair<std::uint32_t, std::int64_t>, std::int32_t> group_of;
-  std::map<std::pair<std::int32_t, std::int64_t>, TaskId> record_task;
+  LaneNumbering lane_of(t.lanes_.lanes_);
+  std::unordered_map<std::pair<std::uint32_t, std::int64_t>, std::int32_t,
+                     GroupHash>
+      group_of;
+  std::vector<Record> records;
+  bool any_event_sync = false;
   for (std::size_t i = 0; i < n; ++i) {
-    const Task& task = tasks[i];
-    const trace::TraceEvent& e = task.event;
     const auto id = static_cast<TaskId>(i);
+    const Processor processor = tasks.processor(i);
+    lane[i] = lane_of(processor);
+    const trace::CudaApi a = e.cuda_api(i);
 
-    auto [lane_it, lane_new] =
-        lane_of.emplace(task.processor, static_cast<LaneId>(lane_of.size()));
-    if (lane_new) t.lanes_.lanes_.push_back(task.processor);
-    t.lane_[i] = lane_it->second;
-
-    t.cat_[i] = static_cast<std::uint8_t>(e.cat);
-    const trace::CudaApi api = task.cuda_api();  // one string parse, ever
-    t.api_[i] = static_cast<std::uint8_t>(api);
-    t.dur_[i] = e.dur_ns;
-    t.ts_[i] = e.ts_ns;
-    t.name_[i] = t.pools_->names.intern(e.name);
-
-    std::uint8_t flags = 0;
-    if (task.is_gpu()) flags |= kGpu;
-    if (e.collective.valid()) {
-      t.coll_op_[i] = t.pools_->ops.intern(e.collective.op);
-      t.coll_group_[i] = t.pools_->groups.intern(e.collective.group);
-      t.coll_instance_[i] = e.collective.instance;
-      if (e.collective.op == "send" || e.collective.op == "recv") {
-        flags |= kP2p;
-      }
-      if (task.is_gpu()) {
-        flags |= kCollectiveKernel;
-        if (e.collective.instance >= 0) {
-          flags |= kCoupled;
-          auto [git, gnew] = group_of.emplace(
-              std::make_pair(t.coll_group_[i], e.collective.instance),
+    std::uint8_t f = processor.gpu ? kGpu : 0;
+    if (const trace::OpId op = e.collective_op(i); op.valid()) {
+      const trace::GroupId group = e.collective_group(i);
+      const std::int64_t instance = e.collective_instance(i);
+      coll_op[i] = op.index;
+      coll_group[i] = group.index;
+      coll_instance[i] = instance;
+      if (op.index == send_op || op.index == recv_op) f |= kP2p;
+      if (processor.gpu) {
+        f |= kCollectiveKernel;
+        if (instance >= 0) {
+          f |= kCoupled;
+          auto [git, gnew] = group_of.try_emplace(
+              std::make_pair(group.index, instance),
               static_cast<std::int32_t>(t.groups_.size()));
-          if (gnew) {
-            t.groups_.push_back(
-                {{t.coll_group_[i]}, e.collective.instance, {}});
-          }
-          t.group_idx_[i] = git->second;
+          if (gnew) t.groups_.push_back({group, instance, {}});
+          group_idx[i] = git->second;
           t.groups_[static_cast<std::size_t>(git->second)]
               .members.push_back(id);
         }
       }
     }
-    t.flags_[i] = flags;
+    flags[i] = f;
 
-    if (api == trace::CudaApi::EventRecord && e.cuda_event >= 0) {
-      // Later re-records of the same event id overwrite earlier ones, the
-      // same way the CUDA runtime does.
-      record_task[{task.processor.rank, e.cuda_event}] = id;
+    if (a == trace::CudaApi::EventRecord && e.cuda_event(i) >= 0) {
+      records.push_back({processor.rank, e.cuda_event(i), id});
     }
+    any_event_sync |= a == trace::CudaApi::EventSynchronize;
   }
+  t.flags_ = std::move(flags);
+  t.lane_ = std::move(lane);
+  t.coll_op_ = std::move(coll_op);
+  t.coll_group_ = std::move(coll_group);
+  t.coll_instance_ = std::move(coll_instance);
+  t.group_idx_ = std::move(group_idx);
 
   // Lane lookup index + dense rank numbering (first-appearance order).
   LaneTable& lanes = t.lanes_;
@@ -181,30 +254,37 @@ TaskMetaTable TaskMetaTable::build(const std::vector<Task>& tasks,
   // StreamSynchronize blocks on the last prior launch to its own (rank,
   // stream); an EventSynchronize blocks on the last prior launch to the
   // stream its (rank-local) EventRecord targeted, bounded by the record's
-  // id; unresolvable targets mean "no runtime blocker".
+  // id; unresolvable targets mean "no runtime blocker". Later re-records
+  // of one event id win, the way the CUDA runtime resolves them: records
+  // sort by (rank, event, id), and a lookup takes the last of its run.
+  if (any_event_sync) std::sort(records.begin(), records.end());
+  std::vector<LaneId> sync_lane(n, kInvalidLane);
+  std::vector<TaskId> sync_before(n, kInvalidTask);
   for (std::size_t i = 0; i < n; ++i) {
-    const Task& task = tasks[i];
-    switch (static_cast<trace::CudaApi>(t.api_[i])) {
+    switch (e.cuda_api(i)) {
       case trace::CudaApi::StreamSynchronize:
-        t.sync_lane_[i] = lanes.id_of(
-            {task.processor.rank, true, task.event.stream});
-        t.sync_before_[i] = static_cast<TaskId>(i);
+        sync_lane[i] = lanes.id_of({tasks.rank[i], true, e.stream(i)});
+        sync_before[i] = static_cast<TaskId>(i);
         break;
       case trace::CudaApi::EventSynchronize: {
-        auto it = record_task.find(
-            {task.processor.rank, task.event.cuda_event});
-        if (it == record_task.end()) break;
-        const Task& record = tasks[static_cast<std::size_t>(it->second)];
-        t.sync_lane_[i] = lanes.id_of(
-            {record.processor.rank, true, record.event.stream});
-        t.sync_before_[i] = it->second;
+        const Record key{tasks.rank[i], e.cuda_event(i),
+                         std::numeric_limits<TaskId>::max()};
+        auto it = std::upper_bound(records.begin(), records.end(), key);
+        if (it == records.begin()) break;
+        --it;
+        if (it->rank != key.rank || it->event != key.event) break;
+        const auto record = static_cast<std::size_t>(it->id);
+        sync_lane[i] =
+            lanes.id_of({tasks.rank[record], true, e.stream(record)});
+        sync_before[i] = it->id;
         break;
       }
       default:
         break;
     }
   }
-
+  t.sync_lane_ = std::move(sync_lane);
+  t.sync_before_ = std::move(sync_before);
   return t;
 }
 

@@ -13,7 +13,7 @@
 //     stream of one rank) to a dense LaneId, so per-processor simulator
 //     state is a vector indexed by lane instead of an ordered map keyed by
 //     struct comparison;
-//   - event names / collective ops / communicator groups are interned into
+//   - event names / collective ops / communicator groups stay the payload's
 //     trace::StringPool handles (resolve them back to text only at report
 //     boundaries);
 //   - runtime-dependency targets (which stream a cudaStreamSynchronize
@@ -26,7 +26,7 @@
 // double-checked locking discipline as the adjacency index (or eagerly via
 // ExecutionGraph::finalize(), which every producer calls), and shared
 // across graph copies — it depends only on the task payload, never on the
-// edge set. All build-order choices (lane ids, group ids, string ids) are
+// edge set. All build-order choices (lane ids, group ids) are
 // deterministic functions of the task sequence, so identical graphs yield
 // identical tables and api::Sweep's sequential-vs-parallel bit-identity is
 // preserved.
@@ -125,19 +125,13 @@ struct TaskMeta {
 
 class TaskMetaTable {
  public:
-  /// Classifies every task once. Deterministic: identical task sequences
-  /// produce identical tables (ids, lanes, groups and pools included).
-  ///
-  /// `pools` optionally seeds the string pools: TraceParser passes the
-  /// trace's own TracePools here (via ExecutionGraph::finalize) so task
-  /// names/ops/groups resolve to the ids the trace already interned —
-  /// strings are stored exactly once per trace, and intern() below is a
-  /// pure lookup. Null means fresh pools (synthetic builders, lazy rebuilds
-  /// after mutation — which must never mutate a pool shared with a trace
-  /// other threads may be reading).
-  static TaskMetaTable build(
-      const std::vector<Task>& tasks,
-      std::shared_ptr<trace::TracePools> pools = nullptr);
+  /// Classifies every task once, from id columns only: no string is
+  /// interned or compared (p2p ops are recognized by pool lookup). Columns
+  /// the payload already holds (category, API, duration, start, name) are
+  /// views of it — the table keeps `tasks` alive — and strings resolve in
+  /// the payload's own pools. Deterministic: identical payloads produce
+  /// identical tables.
+  static TaskMetaTable build(std::shared_ptr<const TaskColumns> tasks);
 
   std::size_t size() const { return lane_.size(); }
 
@@ -213,11 +207,13 @@ class TaskMetaTable {
   const trace::StringPool& names() const { return pools_->names; }
   const trace::StringPool& ops() const { return pools_->ops; }
   const trace::StringPool& groups() const { return pools_->groups; }
-  /// The pools backing this table — the trace's own pools when the graph
-  /// was parsed from a trace (see build()).
+  /// The pools backing this table: the graph payload's pools (the trace's
+  /// own pools when the graph was parsed from a trace).
   const std::shared_ptr<trace::TracePools>& pools() const { return pools_; }
   std::string_view name_view(TaskId id) const {
-    return pools_->names.view(name_[idx(id)]);
+    const std::uint32_t name = name_[idx(id)];
+    return name == trace::NameId::kInvalidIndex ? std::string_view{}
+                                                : pools_->names.view(name);
   }
   std::string_view op_view(trace::OpId id) const {
     return pools_->ops.view(id.index);
@@ -238,8 +234,9 @@ class TaskMetaTable {
     kP2p = 1u << 3,
   };
 
-  // Structure-of-arrays columns, indexed by TaskId. io::Column: owned on
-  // the build path, zero-copy views of the mapping on the snapshot path.
+  // Structure-of-arrays columns, indexed by TaskId. io::Column: owned (or
+  // views of the graph payload) on the build path, zero-copy views of the
+  // mapping on the snapshot path.
   io::Column<std::uint8_t> cat_;
   io::Column<std::uint8_t> api_;
   io::Column<std::uint8_t> flags_;

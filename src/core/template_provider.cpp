@@ -2,22 +2,48 @@
 
 #include <algorithm>
 #include <limits>
-#include <tuple>
+#include <unordered_map>
 
 namespace lumos::core {
 
 namespace {
 
-/// Per-(rank, block, layer, phase, microbatch) ordinal counters used to
-/// reconstruct the builder's within-block ordinals during extraction.
+using workload::Block;
+using workload::kBlockNames;
+using workload::kOpNames;
+using workload::kPhaseNames;
+using workload::OpName;
+using workload::Phase;
+
+/// One block instance of one rank: the scope within-block ordinals count
+/// in, reconstructing the builder's ordinals during extraction.
 struct InstanceKey {
   std::int32_t rank;
-  std::string block;
   std::int32_t layer;
-  std::string phase;
   std::int32_t microbatch;
-  auto operator<=>(const InstanceKey&) const = default;
+  std::uint32_t block_phase;
+
+  bool operator==(const InstanceKey&) const = default;
 };
+
+struct InstanceHash {
+  std::size_t operator()(const InstanceKey& k) const {
+    std::uint64_t h = static_cast<std::uint32_t>(k.rank);
+    h = h * 0x9E3779B97F4A7C15ULL + static_cast<std::uint32_t>(k.layer);
+    h = h * 0x9E3779B97F4A7C15ULL + static_cast<std::uint32_t>(k.microbatch);
+    h = h * 0x9E3779B97F4A7C15ULL + k.block_phase;
+    return static_cast<std::size_t>(h ^ (h >> 29));
+  }
+};
+
+/// Index of `text` in `names`, -1 when absent.
+template <std::size_t N>
+std::int32_t index_of(const std::array<std::string_view, N>& names,
+                      std::string_view text) {
+  const auto it = std::find(names.begin(), names.end(), text);
+  return it == names.end() ? -1
+                           : static_cast<std::int32_t>(it - names.begin());
+}
 
 }  // namespace
 
@@ -34,6 +60,14 @@ TemplateProvider::TemplateProvider(const ExecutionGraph& profiled,
   extract(profiled);
 }
 
+std::size_t TemplateProvider::slot_index(Block block, Phase phase,
+                                         OpName name) {
+  return (static_cast<std::size_t>(block) * kPhaseNames.size() +
+          static_cast<std::size_t>(phase)) *
+             kOpNames.size() +
+         name.index;
+}
+
 void TemplateProvider::extract(const ExecutionGraph& profiled) {
   // Profiled collective kernel durations include peer-wait skew (early
   // members spin until the last rank arrives). Within one rendezvous
@@ -42,7 +76,7 @@ void TemplateProvider::extract(const ExecutionGraph& profiled) {
   // every member so the template averages transfer+contention across
   // instances while the coupled simulator re-derives the waits. The meta
   // table already materializes the rendezvous groups, so this is one pass
-  // over dense member lists instead of a string-keyed map fill.
+  // over dense member lists.
   const TaskMetaTable& meta = profiled.meta();
   std::vector<std::int64_t> group_min(meta.collective_groups().size());
   for (std::size_t g = 0; g < meta.collective_groups().size(); ++g) {
@@ -53,23 +87,68 @@ void TemplateProvider::extract(const ExecutionGraph& profiled) {
     group_min[g] = lo;
   }
 
-  std::map<InstanceKey, std::pair<std::int32_t, std::int32_t>> counters;
-  for (const Task& t : profiled.tasks()) {
-    const trace::TraceEvent& e = t.event;
-    if (e.block.empty()) continue;
-    InstanceKey inst{t.processor.rank, e.block, e.layer, e.phase,
-                     e.microbatch};
+  // Each distinct profiled string maps into the vocabulary once; strings
+  // the builder never emits map to -1 and their tasks are never looked up.
+  const trace::StringPool& names = profiled.pools()->names;
+  std::vector<std::int32_t> op_of(names.size()), block_of(names.size()),
+      phase_of(names.size());
+  for (std::uint32_t id = 0; id < names.size(); ++id) {
+    const std::string_view text = names.view(id);
+    const std::optional<OpName> op = workload::find_op_name(text);
+    op_of[id] = op ? op->index : -1;
+    block_of[id] = index_of(kBlockNames, text);
+    phase_of[id] = index_of(kPhaseNames, text);
+  }
+  auto lookup = [](const std::vector<std::int32_t>& table, trace::NameId id) {
+    return id.valid() ? table[id.index] : -1;
+  };
+
+  cpu_slots_.assign(kBlockNames.size() * kPhaseNames.size() * kOpNames.size(),
+                    {});
+  kernel_slots_.assign(cpu_slots_.size(), {});
+  const TaskColumns& tasks = profiled.columns();
+  const trace::EventTable& ev = tasks.events;
+  std::unordered_map<InstanceKey, std::pair<std::int32_t, std::int32_t>,
+                     InstanceHash>
+      counters;
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    const std::int32_t block = lookup(block_of, ev.block_id(i));
+    const std::int32_t phase = lookup(phase_of, ev.phase_id(i));
+    if (block < 0 || phase < 0) continue;
+    const InstanceKey inst{
+        tasks.rank[i], ev.layer(i), ev.microbatch(i),
+        static_cast<std::uint32_t>(slot_index(static_cast<Block>(block),
+                                              static_cast<Phase>(phase),
+                                              OpName{}))};
     auto& [cpu_ordinal, kernel_ordinal] = counters[inst];
-    const std::int32_t ordinal = t.is_gpu() ? kernel_ordinal++ : cpu_ordinal++;
-    Key key{e.block, e.phase, e.name, ordinal};
-    Stats& stats = t.is_gpu() ? kernel_stats_[key] : cpu_stats_[key];
-    std::int64_t dur = e.dur_ns;
-    if (const std::int32_t g = meta.group_index(t.id); g >= 0) {
+    const bool gpu = tasks.gpu[i] != 0;
+    const std::int32_t ordinal = gpu ? kernel_ordinal++ : cpu_ordinal++;
+    const std::int32_t name = lookup(op_of, ev.name_id(i));
+    if (name < 0) continue;
+
+    Slot& slot = (gpu ? kernel_slots_ : cpu_slots_)[slot_index(
+        static_cast<Block>(block), static_cast<Phase>(phase),
+        OpName{static_cast<std::uint8_t>(name)})];
+    if (slot.size() <= static_cast<std::size_t>(ordinal)) {
+      slot.resize(static_cast<std::size_t>(ordinal) + 1);
+    }
+    Stats& stats = slot[static_cast<std::size_t>(ordinal)];
+    std::int64_t dur = ev.dur_ns(i);
+    if (const std::int32_t g = meta.group_index(static_cast<TaskId>(i));
+        g >= 0) {
       dur = group_min[static_cast<std::size_t>(g)];
     }
     if (stats.count == 0) {
-      stats.representative = e;
+      ++(gpu ? kernel_keys_ : cpu_keys_);
       stats.min_ns = dur;
+      stats.gemm = ev.gemm(i);
+      stats.bytes_moved = ev.bytes_moved(i);
+      stats.collective = ev.collective_op(i).valid();
+      if (stats.collective) {
+        stats.collective_bytes = ev.collective_bytes(i);
+        stats.collective_group_size = ev.collective_group_size(i);
+        stats.placement = base_placement(ev.collective_group_view(i));
+      }
     }
     stats.total_ns += dur;
     stats.min_ns = std::min(stats.min_ns, dur);
@@ -77,14 +156,22 @@ void TemplateProvider::extract(const ExecutionGraph& profiled) {
   }
 }
 
+const TemplateProvider::Stats* TemplateProvider::find(
+    const std::vector<Slot>& slots, Block block, Phase phase, OpName name,
+    std::int32_t ordinal) const {
+  const Slot& slot = slots[slot_index(block, phase, name)];
+  const auto o = static_cast<std::size_t>(ordinal);
+  return o < slot.size() && slot[o].count > 0 ? &slot[o] : nullptr;
+}
+
 cost::CommPlacement TemplateProvider::base_placement(
-    const std::string& group) const {
+    std::string_view group) const {
   workload::Placement placement(base_config_);
   // Any member rank of the right kind of group yields the same placement;
   // rank 0 belongs to a tp/dp group and stage-0 pp links.
-  if (group.rfind("tp_", 0) == 0) return placement.tp_placement(0);
-  if (group.rfind("dp_", 0) == 0) return placement.dp_placement(0);
-  if (group.rfind("pp_", 0) == 0) return placement.pp_placement(0);
+  if (group.starts_with("tp_")) return placement.tp_placement(0);
+  if (group.starts_with("dp_")) return placement.dp_placement(0);
+  if (group.starts_with("pp_")) return placement.pp_placement(0);
   // Model-parallel (grad-norm) group: tp*pp ranks spread over the replica.
   cost::CommPlacement p;
   p.group_size = base_config_.tp * base_config_.pp;
@@ -94,57 +181,52 @@ cost::CommPlacement TemplateProvider::base_placement(
 }
 
 std::int64_t TemplateProvider::cpu_ns(const workload::CpuOpDesc& desc) {
-  auto it = cpu_stats_.find(Key{desc.block, desc.phase, desc.name,
-                                desc.ordinal});
-  if (it == cpu_stats_.end()) {
+  const Stats* stats =
+      find(cpu_slots_, desc.block, desc.phase, desc.name, desc.ordinal);
+  if (stats == nullptr) {
     ++fallbacks_;
     return fallback_.cpu_ns(desc);
   }
-  return it->second.mean_ns();
+  return stats->mean_ns();
 }
 
 std::int64_t TemplateProvider::kernel_ns(const workload::KernelDesc& desc) {
-  auto it = kernel_stats_.find(Key{desc.block, desc.phase, desc.name,
-                                   desc.ordinal});
-  if (it == kernel_stats_.end()) {
+  const Stats* found =
+      find(kernel_slots_, desc.block, desc.phase, desc.name, desc.ordinal);
+  if (found == nullptr) {
     ++fallbacks_;
     return fallback_.kernel_ns(desc);
   }
-  const Stats& stats = it->second;
-  const trace::TraceEvent& ref = stats.representative;
+  const Stats& stats = *found;
 
-  if (desc.collective.valid()) {
+  if (desc.collective) {
     // Extraction already reduced collective durations to per-instance
     // minima (transfer + contention, no peer-wait skew); average across
     // instances and scale by the collective-model ratio when the
     // communicator or payload changed.
     std::int64_t base = stats.mean_ns();
-    if (ref.collective.valid() &&
-        (ref.collective.bytes != desc.collective.bytes ||
-         ref.collective.group_size != desc.collective.group_size)) {
-      const auto kind = cost::collective_kind_from_string(desc.collective.op);
-      if (kind) {
-        const double new_cost = static_cast<double>(kernel_model_.collective_ns(
-            *kind, desc.collective.bytes, desc.placement));
-        const double old_cost = static_cast<double>(kernel_model_.collective_ns(
-            *kind, ref.collective.bytes,
-            base_placement(ref.collective.group)));
-        if (old_cost > 0) {
-          base = static_cast<std::int64_t>(static_cast<double>(base) *
-                                           new_cost / old_cost);
-        }
+    const workload::CollectiveDesc& c = *desc.collective;
+    if (stats.collective && (stats.collective_bytes != c.bytes ||
+                             stats.collective_group_size != c.group_size)) {
+      const double new_cost = static_cast<double>(
+          kernel_model_.collective_ns(c.kind, c.bytes, c.placement));
+      const double old_cost = static_cast<double>(kernel_model_.collective_ns(
+          c.kind, stats.collective_bytes, stats.placement));
+      if (old_cost > 0) {
+        base = static_cast<std::int64_t>(static_cast<double>(base) *
+                                         new_cost / old_cost);
       }
     }
     return base;
   }
 
-  if (desc.gemm.valid() && ref.gemm.valid()) {
+  if (desc.gemm.valid() && stats.gemm.valid()) {
     std::int64_t base = stats.mean_ns();
-    if (!(desc.gemm == ref.gemm)) {
+    if (!(desc.gemm == stats.gemm)) {
       const double new_cost =
           static_cast<double>(kernel_model_.gemm_ns(desc.gemm));
       const double old_cost =
-          static_cast<double>(kernel_model_.gemm_ns(ref.gemm));
+          static_cast<double>(kernel_model_.gemm_ns(stats.gemm));
       if (old_cost > 0) {
         base = static_cast<std::int64_t>(static_cast<double>(base) *
                                          new_cost / old_cost);
@@ -156,7 +238,7 @@ std::int64_t TemplateProvider::kernel_ns(const workload::KernelDesc& desc) {
   if (desc.is_attention()) {
     // Reconstruct the base run's attention dims from the base model/config.
     const std::int64_t base_heads = base_model_.num_heads / base_config_.tp;
-    const bool backward = desc.phase == "backward";
+    const bool backward = desc.phase == Phase::Backward;
     const auto attn = [&](std::int64_t batch, std::int64_t heads,
                           std::int64_t seq, std::int64_t hd) {
       return backward
@@ -176,12 +258,12 @@ std::int64_t TemplateProvider::kernel_ns(const workload::KernelDesc& desc) {
 
   if (desc.elementwise_bytes > 0) {
     std::int64_t base = stats.mean_ns();
-    if (options_.recost_elementwise && ref.bytes_moved > 0 &&
-        ref.bytes_moved != desc.elementwise_bytes) {
+    if (options_.recost_elementwise && stats.bytes_moved > 0 &&
+        stats.bytes_moved != desc.elementwise_bytes) {
       const double new_cost = static_cast<double>(
           kernel_model_.memory_bound_ns(desc.elementwise_bytes));
       const double old_cost = static_cast<double>(
-          kernel_model_.memory_bound_ns(ref.bytes_moved));
+          kernel_model_.memory_bound_ns(stats.bytes_moved));
       if (old_cost > 0) {
         base = static_cast<std::int64_t>(static_cast<double>(base) *
                                          new_cost / old_cost);

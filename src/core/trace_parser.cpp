@@ -16,12 +16,12 @@ struct EndIndexEntry {
   std::int32_t tid;
 };
 
-/// Seed pools for ExecutionGraph::finalize(): the trace's own pools when
-/// every rank shares one TracePools instance (the one-pool-per-trace rule
-/// all producers follow), so graph interning is a pure lookup and the ids
-/// coincide with the trace's. Hand-assembled traces with per-rank pools
-/// fall back to fresh pools — seeding must never intern new strings into a
-/// pool another rank's readers may be using.
+/// Pools for the parsed graph: the trace's own pools when every rank shares
+/// one TracePools instance (the one-pool-per-trace rule all producers
+/// follow), so the graph's event rows are a pure column gather and its ids
+/// coincide with the trace's. Hand-assembled traces with per-rank pools get
+/// fresh pools the rows are re-interned into — never a pool another rank's
+/// readers may be using.
 std::shared_ptr<trace::TracePools> shared_cluster_pools(
     const trace::ClusterTrace& trace) {
   if (trace.ranks.empty()) return nullptr;
@@ -36,22 +36,23 @@ std::shared_ptr<trace::TracePools> shared_cluster_pools(
 }  // namespace
 
 ExecutionGraph TraceParser::parse(const trace::RankTrace& trace) const {
-  ExecutionGraph graph;
+  // The graph shares the trace's pools: strings interned at JSON ingest are
+  // neither re-stored nor re-interned. Classification runs now, at parse
+  // time, so the graph is published complete.
+  ExecutionGraph graph(trace.events.pools());
+  graph.reserve(trace.events.size(), 2 * trace.events.size());
   parse_rank_into(trace, graph);
-  // Intern names/ops/groups and materialize the columnar task metadata now,
-  // at parse time, so the graph is published classification-complete. The
-  // trace's pools seed the table: strings already interned at JSON ingest
-  // are not re-stored.
-  graph.finalize(trace.events.pools());
+  graph.finalize();
   return graph;
 }
 
 ExecutionGraph TraceParser::parse(const trace::ClusterTrace& trace) const {
-  ExecutionGraph graph;
+  ExecutionGraph graph(shared_cluster_pools(trace));
+  graph.reserve(trace.total_events(), 2 * trace.total_events());
   for (const trace::RankTrace& rank : trace.ranks) {
     parse_rank_into(rank, graph);
   }
-  graph.finalize(shared_cluster_pools(trace));
+  graph.finalize();
   return graph;
 }
 
@@ -59,10 +60,9 @@ void TraceParser::parse_rank_into(const trace::RankTrace& trace,
                                   ExecutionGraph& graph) const {
   const trace::EventTable& t = trace.events;
 
-  // 1. Materialize tasks in timestamp order; ids then encode launch order,
-  //    the invariant the simulator's runtime-dependency rules need. The
-  //    ordering/classification work below reads only table columns — event
-  //    structs (with their owning strings) materialize once, into the Task.
+  // 1. Gather the events into task rows in timestamp order; ids then encode
+  //    launch order, the invariant the simulator's runtime-dependency rules
+  //    need. Everything below reads only table columns.
   std::vector<std::uint32_t> ordered;
   ordered.reserve(t.size());
   for (std::size_t i = 0; i < t.size(); ++i) {
@@ -78,23 +78,21 @@ void TraceParser::parse_rank_into(const trace::RankTrace& trace,
                    });
 
   const std::size_t n = ordered.size();
-  std::vector<TaskId> ids;
-  ids.reserve(n);
-  // Clamped durations (blocking CUDA APIs): the value the Task carries and
-  // every pass below uses for end times.
-  std::vector<std::int64_t> dur;
-  dur.reserve(n);
-  for (const std::uint32_t i : ordered) {
-    Task task;
-    task.processor = {t.pid(i), t.is_gpu(i),
-                      static_cast<std::int64_t>(t.tid(i))};
-    task.event = t.materialize(i);
-    if (trace::blocks_cpu(t.cuda_api(i))) {
-      task.event.dur_ns =
-          std::min(task.event.dur_ns, options_.sync_duration_clamp_ns);
+  const auto first = static_cast<TaskId>(graph.size());
+  graph.append_events(t, ordered);
+  std::vector<TaskId> ids(n);
+  // Clamped durations (blocking CUDA APIs): the value the task row carries
+  // and every pass below uses for end times.
+  std::vector<std::int64_t> dur(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    const std::uint32_t i = ordered[j];
+    ids[j] = first + static_cast<TaskId>(j);
+    dur[j] = t.dur_ns(i);
+    if (trace::blocks_cpu(t.cuda_api(i)) &&
+        dur[j] > options_.sync_duration_clamp_ns) {
+      dur[j] = options_.sync_duration_clamp_ns;
+      graph.set_duration_ns(ids[j], dur[j]);
     }
-    dur.push_back(task.event.dur_ns);
-    ids.push_back(graph.add_task(std::move(task)));
   }
   auto end_of = [&t, &ordered, &dur](std::size_t j) {
     return t.ts_ns(ordered[j]) + dur[j];

@@ -69,27 +69,27 @@ class Column {
 
   // -- mutation (detaches a borrowed column first: copy-on-write) -----------
   T& operator[](std::size_t i) {
-    detach();
+    if (borrowed()) detach();
     return own_[i];
   }
   T* begin() {
-    detach();
+    if (borrowed()) detach();
     return own_.data();
   }
   T* end() {
-    detach();
+    if (borrowed()) detach();
     return own_.data() + own_.size();
   }
   void push_back(const T& value) {
-    detach();
+    if (borrowed()) detach();
     own_.push_back(value);
   }
   void reserve(std::size_t n) {
-    detach();
+    if (borrowed()) detach();
     own_.reserve(n);
   }
   void resize(std::size_t n) {
-    detach();
+    if (borrowed()) detach();
     own_.resize(n);
   }
   void assign(std::size_t n, const T& value) {
@@ -107,9 +107,9 @@ class Column {
   }
 
  private:
-  /// Copies a borrowed view into owned storage (no-op when already owned).
-  void detach() {
-    if (!borrowed()) return;
+  /// Copies a borrowed view into owned storage. Callers test borrowed()
+  /// inline, so the common owned case never leaves the mutator.
+  [[gnu::noinline]] void detach() {
     own_.assign(view_.begin(), view_.end());
     release();
   }

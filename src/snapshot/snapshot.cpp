@@ -338,18 +338,15 @@ struct Access {
       const core::ExecutionGraph& g) {
     return g.edges_;
   }
+  /// The loaded payload columns become the graph's task payload as-is
+  /// (zero-copy views of the mapping).
+  static void install_tasks(core::ExecutionGraph& g,
+                            core::TaskColumns tasks) {
+    g.tasks_ = std::make_shared<core::TaskColumns>(std::move(tasks));
+  }
   /// Analysis escape: the loader owns `g` exclusively — it is a fresh
   /// graph still being assembled, unpublished to any other thread — so the
   /// cache members are written without their mutexes.
-  static void install_task_source(core::ExecutionGraph& g,
-                                  std::shared_ptr<const core::TaskSource> s)
-      LUMOS_NO_THREAD_SAFETY_ANALYSIS {
-    g.tasks_.clear();
-    g.task_source_ = std::move(s);
-    g.tasks_valid_.store(false, std::memory_order_relaxed);
-  }
-  /// Analysis escape: same loader-private pre-publication window as
-  /// install_task_source.
   static void install_meta(core::ExecutionGraph& g,
                            std::shared_ptr<const core::TaskMetaTable> meta)
       LUMOS_NO_THREAD_SAFETY_ANALYSIS {
@@ -436,38 +433,6 @@ trace::EventTable read_event_table(Cursor& cur,
   return t;
 }
 
-/// Lazy task materialization over the snapshot's zero-copy columns: the
-/// authoring Task vector (owning strings and all) is rebuilt only if some
-/// consumer actually asks for it — replay reads meta() and never does.
-class ColumnTaskSource final : public core::TaskSource {
- public:
-  ColumnTaskSource(trace::EventTable events, io::Column<std::int32_t> rank,
-                   io::Column<std::uint8_t> gpu, io::Column<std::int64_t> lane)
-      : events_(std::move(events)),
-        rank_(std::move(rank)),
-        gpu_(std::move(gpu)),
-        lane_(std::move(lane)) {}
-
-  std::size_t count() const override { return events_.size(); }
-
-  std::vector<core::Task> materialize() const override {
-    std::vector<core::Task> tasks(events_.size());
-    for (std::size_t i = 0; i < events_.size(); ++i) {
-      core::Task& t = tasks[i];
-      t.id = static_cast<core::TaskId>(i);
-      t.processor = {rank_[i], gpu_[i] != 0, lane_[i]};
-      t.event = events_.materialize(i);
-    }
-    return tasks;
-  }
-
- private:
-  trace::EventTable events_;
-  io::Column<std::int32_t> rank_;
-  io::Column<std::uint8_t> gpu_;
-  io::Column<std::int64_t> lane_;
-};
-
 void write_graph(Buffer& buf, const core::ExecutionGraph& graph,
                  WriterPools& pools) {
   // Edges as three scalar columns — Edge itself has padding bytes that
@@ -484,24 +449,13 @@ void write_graph(Buffer& buf, const core::ExecutionGraph& graph,
   buf.put_array(dst);
   buf.put_array(type);
 
-  // Task payloads: processors as scalar columns + the events as a regular
-  // event table interned into the canonical pools.
-  const std::vector<core::Task>& tasks = graph.tasks();
-  std::vector<std::int32_t> rank(tasks.size());
-  std::vector<std::uint8_t> gpu(tasks.size());
-  std::vector<std::int64_t> lane(tasks.size());
-  trace::EventTable events(pools.out);
-  events.reserve(tasks.size());
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    rank[i] = tasks[i].processor.rank;
-    gpu[i] = tasks[i].processor.gpu ? 1 : 0;
-    lane[i] = tasks[i].processor.lane;
-    events.push_back(tasks[i].event);
-  }
-  buf.put_array(rank);
-  buf.put_array(gpu);
-  buf.put_array(lane);
-  write_event_table(buf, events, pools);
+  // Task payload: the graph's own processor and event columns, string ids
+  // translated into the canonical pools.
+  const core::TaskColumns& tasks = graph.columns();
+  buf.put_array(tasks.rank.data(), tasks.rank.size());
+  buf.put_array(tasks.gpu.data(), tasks.gpu.size());
+  buf.put_array(tasks.lane.data(), tasks.lane.size());
+  write_event_table(buf, tasks.events, pools);
 
   // The finalized meta table: per-task columns, the lane table, and the
   // collective rendezvous groups.
@@ -574,10 +528,8 @@ std::shared_ptr<const core::ExecutionGraph> read_graph(
       lane.size() != events.size()) {
     fail_corrupt("task column length mismatch");
   }
-  Access::install_task_source(
-      *graph, std::make_shared<const ColumnTaskSource>(
-                  std::move(events), std::move(rank), std::move(gpu),
-                  std::move(lane)));
+  Access::install_tasks(*graph, {std::move(events), std::move(rank),
+                                 std::move(gpu), std::move(lane)});
 
   core::TaskMetaTable meta;
   const auto meta_size = cur.get<std::uint64_t>();

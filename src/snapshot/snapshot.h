@@ -69,8 +69,8 @@ class Error : public std::runtime_error {
 
 /// What a snapshot stores: the frozen trace + graph pair and the api
 /// layer's opaque metadata. On load, trace and graph alias the mapping
-/// (see the lifetime rule above) and the graph's tasks() materialize
-/// lazily — simulation reads meta() only and never pays for them.
+/// (see the lifetime rule above): the graph's task columns and meta table
+/// are zero-copy views, so a load materializes no per-task object.
 struct Bundle {
   std::string meta_json;
   std::shared_ptr<const trace::ClusterTrace> trace;

@@ -74,13 +74,17 @@ void EventTable::push_back(const TraceEvent& e) {
 }
 
 void EventTable::push_row(const Row& row) {
-  cat_.push_back(row.cat);
   // The CUDA API classification happens exactly once, here at ingest.
-  const auto cat = static_cast<EventCategory>(row.cat);
   CudaApi api = CudaApi::None;
-  if (cat == EventCategory::CudaRuntime && row.name != NameId::kInvalidIndex) {
+  if (static_cast<EventCategory>(row.cat) == EventCategory::CudaRuntime &&
+      row.name != NameId::kInvalidIndex) {
     api = cuda_api_from_name(pools_->names.view(row.name));
   }
+  push_row(row, api);
+}
+
+void EventTable::push_row(const Row& row, CudaApi api) {
+  cat_.push_back(row.cat);
   api_.push_back(static_cast<std::uint8_t>(api));
   ts_.push_back(row.ts_ns);
   dur_.push_back(row.dur_ns);
@@ -113,6 +117,78 @@ void EventTable::push_row(const Row& row) {
   } else {
     gemm_idx_.push_back(-1);
   }
+}
+
+namespace {
+
+template <class T>
+void gather(io::Column<T>& dst, const io::Column<T>& src,
+            std::span<const std::uint32_t> rows) {
+  const T* in = src.data();
+  for (const std::uint32_t r : rows) dst.push_back(in[r]);
+}
+
+}  // namespace
+
+void EventTable::append_rows(const EventTable& src,
+                             std::span<const std::uint32_t> rows) {
+  if (src.pools_ != pools_) {
+    for (const std::uint32_t r : rows) push_back(src.materialize(r));
+    return;
+  }
+  gather(cat_, src.cat_, rows);
+  gather(api_, src.api_, rows);
+  gather(ts_, src.ts_, rows);
+  gather(dur_, src.dur_, rows);
+  gather(pid_, src.pid_, rows);
+  gather(tid_, src.tid_, rows);
+  gather(correlation_, src.correlation_, rows);
+  gather(stream_, src.stream_, rows);
+  gather(cuda_event_, src.cuda_event_, rows);
+  gather(layer_, src.layer_, rows);
+  gather(microbatch_, src.microbatch_, rows);
+  gather(bytes_moved_, src.bytes_moved_, rows);
+  gather(name_, src.name_, rows);
+  gather(phase_, src.phase_, rows);
+  gather(block_, src.block_, rows);
+  for (const std::uint32_t r : rows) {
+    const std::int32_t c = src.coll_idx_[r];
+    const auto u = static_cast<std::size_t>(c);
+    // Same rule as push_back(): an all-default payload gets no side row.
+    if (c >= 0 && (src.coll_.op[u] != OpId::kInvalidIndex ||
+                   src.coll_.group[u] != GroupId::kInvalidIndex ||
+                   src.coll_.bytes[u] != 0 || src.coll_.group_size[u] != 0 ||
+                   src.coll_.instance[u] != -1)) {
+      coll_idx_.push_back(static_cast<std::int32_t>(coll_.op.size()));
+      coll_.op.push_back(src.coll_.op[u]);
+      coll_.group.push_back(src.coll_.group[u]);
+      coll_.bytes.push_back(src.coll_.bytes[u]);
+      coll_.group_size.push_back(src.coll_.group_size[u]);
+      coll_.instance.push_back(src.coll_.instance[u]);
+    } else {
+      coll_idx_.push_back(-1);
+    }
+    const std::int32_t g = src.gemm_idx_[r];
+    const auto v = static_cast<std::size_t>(g);
+    if (g >= 0 && (src.gemm_.m[v] != 0 || src.gemm_.n[v] != 0 ||
+                   src.gemm_.k[v] != 0)) {
+      gemm_idx_.push_back(static_cast<std::int32_t>(gemm_.m.size()));
+      gemm_.m.push_back(src.gemm_.m[v]);
+      gemm_.n.push_back(src.gemm_.n[v]);
+      gemm_.k.push_back(src.gemm_.k[v]);
+    } else {
+      gemm_idx_.push_back(-1);
+    }
+  }
+}
+
+void EventTable::detach_pools() {
+  auto copy = std::make_shared<TracePools>();
+  // Merging into empty pools assigns ids in source order: the identity map.
+  copy->names.merge_from(pools_->names);
+  copy->ops.merge_from(pools_->ops);
+  copy->groups.merge_from(pools_->groups);
+  pools_ = std::move(copy);
 }
 
 namespace {

@@ -66,6 +66,9 @@ class EventTable {
   // -- hot-path column access (no strings, no per-event structs) ------------
   std::span<const std::int64_t> ts_column() const { return ts_; }
   std::span<const std::int64_t> dur_column() const { return dur_; }
+  std::span<const std::uint8_t> category_column() const { return cat_; }
+  std::span<const std::uint8_t> api_column() const { return api_; }
+  std::span<const std::uint32_t> name_column() const { return name_; }
 
   EventCategory category(std::size_t i) const {
     return static_cast<EventCategory>(cat_[i]);
@@ -179,12 +182,30 @@ class EventTable {
     std::int64_t gemm_m = 0, gemm_n = 0, gemm_k = 0;
   };
   void push_row(const Row& row);
+  /// push_row() with the CUDA API already classified by the caller — the
+  /// graph builders' path, which must not re-parse names per row.
+  void push_row(const Row& row, CudaApi api);
+
+  /// Appends rows `rows` of `src`, in order (callers reserve). When `src`
+  /// shares this table's
+  /// pools the rows are a pure column gather: string ids are copied, nothing
+  /// is interned. Otherwise each row is re-interned (hand-assembled inputs).
+  /// Side-table rows are kept only where they carry content, so a gathered
+  /// table equals one built by push_back() of the materialized events.
+  void append_rows(const EventTable& src, std::span<const std::uint32_t> rows);
+
+  /// Re-homes this table onto a private copy of its pools with identical
+  /// ids, so strings interned afterwards cannot race readers of the pools
+  /// it used to share.
+  void detach_pools();
 
   // -- explicit column mutation (no mutable event views exist) --------------
   void set_ts_ns(std::size_t i, std::int64_t v) { ts_[i] = v; }
   void set_dur_ns(std::size_t i, std::int64_t v) { dur_[i] = v; }
   void set_stream(std::size_t i, std::int64_t v) { stream_[i] = v; }
   void set_correlation(std::size_t i, std::int64_t v) { correlation_[i] = v; }
+  void set_pid(std::size_t i, std::int32_t v) { pid_[i] = v; }
+  void set_name(std::size_t i, NameId id) { name_[i] = id.index; }
 
   /// Stable sort of all columns by (ts, tid) — the canonical trace order.
   void sort_by_time();
@@ -322,6 +343,12 @@ struct RankTrace {
 
 /// Traces from every simulated rank of a job, plus job-level metadata.
 struct ClusterTrace {
+  ClusterTrace() = default;
+  /// A trace whose add_rank() tables share `pools` — e.g. a replayed trace
+  /// gathered from a graph's event columns, which reuses the graph's ids.
+  explicit ClusterTrace(std::shared_ptr<TracePools> pools)
+      : pools_(std::move(pools)) {}
+
   std::vector<RankTrace> ranks;
 
   /// Appends a rank whose EventTable shares one TracePools across the whole

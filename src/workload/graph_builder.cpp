@@ -1,32 +1,111 @@
 #include "workload/graph_builder.h"
 
-#include <map>
-#include <sstream>
+#include <array>
+#include <charconv>
 #include <stdexcept>
-#include <unordered_map>
+#include <string>
 #include <vector>
 
 namespace lumos::workload {
+
+std::optional<OpName> find_op_name(std::string_view text) {
+  for (std::size_t i = 0; i < kOpNames.size(); ++i) {
+    if (kOpNames[i] == text) return OpName{static_cast<std::uint8_t>(i)};
+  }
+  return std::nullopt;
+}
 
 namespace {
 
 using core::DepType;
 using core::ExecutionGraph;
-using core::Processor;
-using core::Task;
+using core::kInvalidTask;
 using core::TaskId;
 using trace::EventCategory;
+using Row = trace::EventTable::Row;
+constexpr std::uint32_t kNoId = trace::NameId::kInvalidIndex;
+
+/// Collective op names as the trace records them (CollectiveInfo::op).
+enum class CommOp : std::uint8_t { AllReduce, Send, Recv };
+constexpr std::array<std::string_view, 3> kCommOpNames = {"allreduce", "send",
+                                                          "recv"};
+
+/// The string ids of one build. Every vocabulary string is interned into
+/// the graph's pools on first use and cached by its dense index, so rows
+/// are emitted with ids and no per-task string work.
+class BuildContext {
+ public:
+  explicit BuildContext(ExecutionGraph& graph)
+      : graph(graph), pools(*graph.pools()) {
+    names_.fill(kNoId);
+    blocks_.fill(kNoId);
+    phases_.fill(kNoId);
+    ops_.fill(kNoId);
+    for (std::size_t i = 0; i < kOpNames.size(); ++i) {
+      apis_[i] = trace::cuda_api_from_name(kOpNames[i]);
+    }
+  }
+
+  std::uint32_t name(OpName n) {
+    return cached(names_[n.index], pools.names, n.text());
+  }
+  std::uint32_t block(Block b) {
+    return cached(blocks_[static_cast<std::size_t>(b)], pools.names,
+                  to_string(b));
+  }
+  std::uint32_t phase(Phase p) {
+    return cached(phases_[static_cast<std::size_t>(p)], pools.names,
+                  to_string(p));
+  }
+  std::uint32_t op(CommOp o) {
+    const auto i = static_cast<std::size_t>(o);
+    return cached(ops_[i], pools.ops, kCommOpNames[i]);
+  }
+  trace::CudaApi api(OpName n) const { return apis_[n.index]; }
+
+  /// Interns a communicator name assembled from string and integer parts
+  /// (once per communicator or transfer, not per task).
+  template <class... Parts>
+  std::uint32_t group(const Parts&... parts) {
+    std::string text;
+    (append(text, parts), ...);
+    return pools.groups.intern(text);
+  }
+
+  ExecutionGraph& graph;
+  trace::TracePools& pools;
+
+ private:
+  static std::uint32_t cached(std::uint32_t& id, trace::StringPool& pool,
+                              std::string_view text) {
+    if (id == kNoId) id = pool.intern(text);
+    return id;
+  }
+  static void append(std::string& out, std::string_view s) { out += s; }
+  static void append(std::string& out, std::int64_t v) {
+    char buf[24];
+    out.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+  }
+
+  std::array<std::uint32_t, kOpNames.size()> names_;
+  std::array<trace::CudaApi, kOpNames.size()> apis_;
+  std::array<std::uint32_t, kBlockNames.size()> blocks_;
+  std::array<std::uint32_t, kPhaseNames.size()> phases_;
+  std::array<std::uint32_t, kCommOpNames.size()> ops_;
+};
 
 /// Builds all tasks of one rank. Tasks are appended rank-by-rank so task
 /// ids encode per-rank launch order (required by the simulator's runtime
-/// dependency resolution).
+/// dependency resolution). All per-rank state is dense: CPU threads and
+/// streams index small arrays, block instances index a flat ordinal table.
 class RankBuilder {
  public:
-  RankBuilder(ExecutionGraph& graph, DurationProvider& provider,
+  RankBuilder(BuildContext& ctx, DurationProvider& provider,
               const ModelSpec& model, const ParallelConfig& config,
               const BuildOptions& options, const Placement& placement,
               std::int32_t stage, std::int32_t tp_rank)
-      : graph_(graph),
+      : ctx_(ctx),
+        graph_(ctx.graph),
         provider_(provider),
         model_(model),
         config_(config),
@@ -34,14 +113,24 @@ class RankBuilder {
         placement_(placement),
         stage_(stage),
         tp_rank_(tp_rank),
-        rank_(placement.global_rank({tp_rank, options.dp_rank, stage})) {}
+        rank_(placement.global_rank({tp_rank, options.dp_rank, stage})),
+        layers_per_stage_(model.num_layers / config.pp),
+        microbatch_slots_(config.microbatches() + 1),
+        ordinals_(kBlockNames.size() * kPhaseNames.size() *
+                      static_cast<std::size_t>(layers_per_stage_ + 1) *
+                      static_cast<std::size_t>(microbatch_slots_),
+                  {0, 0}) {
+    last_cpu_.fill(kInvalidTask);
+    pending_thread_dep_.fill(kInvalidTask);
+    last_kernel_.fill(kInvalidTask);
+  }
 
   void build() {
     const auto schedule =
         pipeline_schedule(options_.policy, stage_, config_.pp,
                           config_.microbatches());
-    begin_block("sched", -1, "forward", -1);
-    cpu(lanes::kMainThread, "Optimizer.zero_grad#start");
+    begin_block(Block::Sched, -1, Phase::Forward, -1);
+    cpu(lanes::kMainThread, op_name("Optimizer.zero_grad#start"));
     for (const PipelineAction& action : schedule) {
       if (action.kind == PassKind::Forward) {
         forward_pass(action.microbatch);
@@ -57,121 +146,161 @@ class RankBuilder {
   // Low-level task emission
   // ---------------------------------------------------------------------
 
-  void begin_block(std::string block, std::int32_t layer, std::string phase,
-                   std::int32_t microbatch) {
-    block_ = std::move(block);
-    layer_ = layer;
-    phase_ = std::move(phase);
-    microbatch_ = microbatch;
+  static constexpr std::size_t kThreads = 2;  // main + autograd
+  static constexpr std::size_t kStreams = lanes::kPpRecvStream + 1;
+
+  static std::size_t thread_slot(std::int32_t tid) {
+    return static_cast<std::size_t>(tid - lanes::kMainThread);
   }
 
   /// Within-block ordinals are keyed by the block *instance* (block, layer,
   /// phase, microbatch) and persist across interleavings — the same rule
-  /// template extraction applies, so descriptors line up exactly.
-  std::int32_t next_cpu_ordinal() {
-    return ordinals_[{block_, layer_, phase_, microbatch_}].first++;
+  /// template extraction applies, so descriptors line up exactly. The
+  /// instance's slot in the dense table is resolved here, once per block.
+  void begin_block(Block block, std::int32_t layer, Phase phase,
+                   std::int32_t microbatch) {
+    block_ = block;
+    layer_ = layer;
+    phase_ = phase;
+    microbatch_ = microbatch;
+    block_id_ = ctx_.block(block);
+    phase_id_ = ctx_.phase(phase);
+    // Layer blocks index stage-local layers; every other block carries -1
+    // or a DP bucket index (< layers per stage) in the layer field.
+    const std::int32_t layer_slot =
+        (block == Block::Layer ? layer - stage_ * layers_per_stage_ : layer) +
+        1;
+    const std::size_t slot =
+        ((static_cast<std::size_t>(block) * kPhaseNames.size() +
+          static_cast<std::size_t>(phase)) *
+             static_cast<std::size_t>(layers_per_stage_ + 1) +
+         static_cast<std::size_t>(layer_slot)) *
+            static_cast<std::size_t>(microbatch_slots_) +
+        static_cast<std::size_t>(microbatch + 1);
+    if (layer_slot < 0 || layer_slot > layers_per_stage_ ||
+        microbatch + 1 >= microbatch_slots_ || slot >= ordinals_.size()) {
+      throw std::logic_error("RankBuilder: block instance out of range");
+    }
+    ordinal_slot_ = slot;
   }
+
+  std::int32_t next_cpu_ordinal() { return ordinals_[ordinal_slot_].first++; }
   std::int32_t next_kernel_ordinal() {
-    return ordinals_[{block_, layer_, phase_, microbatch_}].second++;
+    return ordinals_[ordinal_slot_].second++;
   }
 
-  trace::TraceEvent base_event(std::string name, EventCategory cat) {
-    trace::TraceEvent e;
-    e.name = std::move(name);
-    e.cat = cat;
-    e.pid = rank_;
-    e.ts_ns = seq_++;  // synthetic program order; the simulator's tie-break
-    e.layer = layer_;
-    e.microbatch = microbatch_;
-    e.phase = phase_;
-    e.block = block_;
-    return e;
+  /// A row carrying this rank's annotation context.
+  Row row(OpName name, EventCategory cat, std::int32_t tid) {
+    Row r;
+    r.cat = static_cast<std::uint8_t>(cat);
+    r.ts_ns = seq_++;  // synthetic program order; the simulator's tie-break
+    r.pid = rank_;
+    r.tid = tid;
+    r.layer = layer_;
+    r.microbatch = microbatch_;
+    r.name = ctx_.name(name);
+    r.phase = phase_id_;
+    r.block = block_id_;
+    return r;
   }
 
-  /// Emits a CPU task on `tid`, chained to the previous task on the thread.
-  TaskId cpu(std::int32_t tid, std::string name,
-             EventCategory cat = EventCategory::CpuOp) {
-    CpuOpDesc desc{name, block_, phase_, layer_, next_cpu_ordinal()};
-    trace::TraceEvent e = base_event(std::move(name), cat);
-    e.tid = tid;
-    e.dur_ns = provider_.cpu_ns(desc);
-    Task t;
-    t.processor = {rank_, /*gpu=*/false, tid};
-    t.event = std::move(e);
-    const TaskId id = graph_.add_task(std::move(t));
-    if (auto it = last_cpu_.find(tid); it != last_cpu_.end()) {
-      graph_.add_edge(it->second, id, DepType::IntraThread);
+  /// Emits a CPU task on `tid`, chained to the previous task on the thread
+  /// and to any cross-thread handoff requested by a dispatch/join point.
+  TaskId cpu(std::int32_t tid, OpName name,
+             EventCategory cat = EventCategory::CpuOp,
+             std::int64_t stream = -1, std::int64_t cuda_event = -1,
+             std::int64_t correlation = -1) {
+    const trace::CudaApi api = cat == EventCategory::CudaRuntime
+                                   ? ctx_.api(name)
+                                   : trace::CudaApi::None;
+    const CpuOpDesc desc{name,   block_, phase_, layer_, next_cpu_ordinal(),
+                         api};
+    Row r = row(name, cat, tid);
+    r.dur_ns = provider_.cpu_ns(desc);
+    r.stream = stream;
+    r.cuda_event = cuda_event;
+    r.correlation = correlation;
+    const TaskId id = graph_.add_row({rank_, /*gpu=*/false, tid}, r, api);
+    TaskId& last = last_cpu_[thread_slot(tid)];
+    if (last != kInvalidTask) graph_.add_edge(last, id, DepType::IntraThread);
+    TaskId& handoff = pending_thread_dep_[thread_slot(tid)];
+    if (handoff != kInvalidTask) {
+      graph_.add_edge(handoff, id, DepType::InterThread);
+      handoff = kInvalidTask;
     }
-    // Cross-thread handoff requested by a previous dispatch/join point.
-    if (auto it = pending_thread_dep_.find(tid);
-        it != pending_thread_dep_.end()) {
-      graph_.add_edge(it->second, id, DepType::InterThread);
-      pending_thread_dep_.erase(it);
-    }
-    last_cpu_[tid] = id;
+    last = id;
     return id;
   }
+
+  /// Collective payload of a communication kernel's row.
+  struct Comm {
+    CommOp op;
+    std::uint32_t group;
+    std::int64_t instance;
+  };
 
   /// Emits a launch (cudaLaunchKernel) on `tid` plus the GPU kernel on
   /// `stream`, linked by a fresh correlation id. Applies pending
   /// inter-stream waits targeted at `stream`.
   TaskId kernel(std::int32_t tid, KernelDesc desc, std::int64_t stream,
-                EventCategory gpu_cat = EventCategory::Kernel) {
+                EventCategory gpu_cat = EventCategory::Kernel,
+                const Comm* comm = nullptr) {
     desc.block = block_;
     desc.phase = phase_;
     desc.layer = layer_;
     desc.ordinal = next_kernel_ordinal();
     const std::int64_t corr = next_correlation_++;
 
-    const char* launch_name = gpu_cat == EventCategory::Memset
-                                  ? "cudaMemsetAsync"
-                                  : "cudaLaunchKernel";
-    CpuOpDesc launch_desc{launch_name, block_, phase_, layer_, next_cpu_ordinal()};
-    trace::TraceEvent launch_event =
-        base_event(launch_name, EventCategory::CudaRuntime);
-    launch_event.tid = tid;
-    launch_event.dur_ns = provider_.cpu_ns(launch_desc);
-    launch_event.correlation = corr;
-    launch_event.stream = stream;
-    Task launch_task;
-    launch_task.processor = {rank_, false, tid};
-    launch_task.event = std::move(launch_event);
-    const TaskId launch_id = graph_.add_task(std::move(launch_task));
-    if (auto it = last_cpu_.find(tid); it != last_cpu_.end()) {
-      graph_.add_edge(it->second, launch_id, DepType::IntraThread);
-    }
-    if (auto it = pending_thread_dep_.find(tid);
-        it != pending_thread_dep_.end()) {
-      graph_.add_edge(it->second, launch_id, DepType::InterThread);
-      pending_thread_dep_.erase(it);
-    }
-    last_cpu_[tid] = launch_id;
+    const OpName launch = gpu_cat == EventCategory::Memset
+                              ? op_name("cudaMemsetAsync")
+                              : op_name("cudaLaunchKernel");
+    const TaskId launch_id =
+        cpu(tid, launch, EventCategory::CudaRuntime, stream, -1, corr);
 
-    trace::TraceEvent gpu_event = base_event(desc.name, gpu_cat);
-    gpu_event.tid = static_cast<std::int32_t>(stream);
-    gpu_event.dur_ns = provider_.kernel_ns(desc);
-    gpu_event.correlation = corr;
-    gpu_event.stream = stream;
-    gpu_event.gemm = desc.gemm;
-    gpu_event.collective = desc.collective;
-    gpu_event.bytes_moved = desc.elementwise_bytes;
-    Task gpu_task;
-    gpu_task.processor = {rank_, true, stream};
-    gpu_task.event = std::move(gpu_event);
-    const TaskId kernel_id = graph_.add_task(std::move(gpu_task));
+    Row r = row(desc.name, gpu_cat, static_cast<std::int32_t>(stream));
+    r.dur_ns = provider_.kernel_ns(desc);
+    r.correlation = corr;
+    r.stream = stream;
+    r.bytes_moved = desc.elementwise_bytes;
+    if (desc.gemm != trace::GemmShape{}) {
+      r.has_gemm = true;
+      r.gemm_m = desc.gemm.m;
+      r.gemm_n = desc.gemm.n;
+      r.gemm_k = desc.gemm.k;
+    }
+    if (comm != nullptr) {
+      r.has_collective = true;
+      r.coll_op = ctx_.op(comm->op);
+      r.coll_group = comm->group;
+      r.coll_bytes = desc.collective->bytes;
+      r.coll_group_size = desc.collective->group_size;
+      r.coll_instance = comm->instance;
+    }
+    const TaskId kernel_id =
+        graph_.add_row({rank_, true, stream}, r, trace::CudaApi::None);
 
     graph_.add_edge(launch_id, kernel_id, DepType::CpuToGpu);
-    if (auto it = last_kernel_.find(stream); it != last_kernel_.end()) {
-      graph_.add_edge(it->second, kernel_id, DepType::IntraStream);
+    const auto s = static_cast<std::size_t>(stream);
+    if (last_kernel_[s] != kInvalidTask) {
+      graph_.add_edge(last_kernel_[s], kernel_id, DepType::IntraStream);
     }
-    last_kernel_[stream] = kernel_id;
-    if (auto it = pending_waits_.find(stream); it != pending_waits_.end()) {
-      for (TaskId src : it->second) {
-        graph_.add_edge(src, kernel_id, DepType::InterStream);
-      }
-      pending_waits_.erase(it);
+    last_kernel_[s] = kernel_id;
+    for (TaskId src : pending_waits_[s]) {
+      graph_.add_edge(src, kernel_id, DepType::InterStream);
     }
+    pending_waits_[s].clear();
     return kernel_id;
+  }
+
+  /// A communication kernel on `stream`: desc + the row's collective ids.
+  void comm_kernel(std::int32_t tid, OpName name, CommOp op,
+                   std::uint32_t group, std::int64_t instance,
+                   CollectiveDesc collective, std::int64_t stream) {
+    KernelDesc d;
+    d.name = name;
+    d.collective = collective;
+    const Comm comm{op, group, instance};
+    kernel(tid, std::move(d), stream, EventCategory::Kernel, &comm);
   }
 
   /// cudaEventRecord on `src_stream` + cudaStreamWaitEvent on `dst_stream`:
@@ -180,92 +309,25 @@ class RankBuilder {
   void record_wait(std::int32_t tid, std::int64_t src_stream,
                    std::int64_t dst_stream) {
     const std::int64_t event_id = next_cuda_event_++;
-    {
-      CpuOpDesc desc{"cudaEventRecord", block_, phase_, layer_,
-                     next_cpu_ordinal()};
-      trace::TraceEvent e =
-          base_event("cudaEventRecord", EventCategory::CudaRuntime);
-      e.tid = tid;
-      e.dur_ns = provider_.cpu_ns(desc);
-      e.stream = src_stream;
-      e.cuda_event = event_id;
-      Task t;
-      t.processor = {rank_, false, tid};
-      t.event = std::move(e);
-      const TaskId id = graph_.add_task(std::move(t));
-      if (auto it = last_cpu_.find(tid); it != last_cpu_.end()) {
-        graph_.add_edge(it->second, id, DepType::IntraThread);
-      }
-      if (auto it = pending_thread_dep_.find(tid);
-          it != pending_thread_dep_.end()) {
-        graph_.add_edge(it->second, id, DepType::InterThread);
-        pending_thread_dep_.erase(it);
-      }
-      last_cpu_[tid] = id;
-    }
-    {
-      CpuOpDesc desc{"cudaStreamWaitEvent", block_, phase_, layer_,
-                     next_cpu_ordinal()};
-      trace::TraceEvent e =
-          base_event("cudaStreamWaitEvent", EventCategory::CudaRuntime);
-      e.tid = tid;
-      e.dur_ns = provider_.cpu_ns(desc);
-      e.stream = dst_stream;
-      e.cuda_event = event_id;
-      Task t;
-      t.processor = {rank_, false, tid};
-      t.event = std::move(e);
-      const TaskId id = graph_.add_task(std::move(t));
-      graph_.add_edge(last_cpu_[tid], id, DepType::IntraThread);
-      last_cpu_[tid] = id;
-    }
-    if (auto it = last_kernel_.find(src_stream); it != last_kernel_.end()) {
-      pending_waits_[dst_stream].push_back(it->second);
+    cpu(tid, op_name("cudaEventRecord"), EventCategory::CudaRuntime,
+        src_stream, event_id);
+    cpu(tid, op_name("cudaStreamWaitEvent"), EventCategory::CudaRuntime,
+        dst_stream, event_id);
+    const TaskId last = last_kernel_[static_cast<std::size_t>(src_stream)];
+    if (last != kInvalidTask) {
+      pending_waits_[static_cast<std::size_t>(dst_stream)].push_back(last);
     }
   }
 
   /// Blocking cudaStreamSynchronize on `stream`; the wait itself is a
   /// *runtime* dependency resolved by the simulator.
-  TaskId sync_stream(std::int32_t tid, std::int64_t stream) {
-    CpuOpDesc desc{"cudaStreamSynchronize", block_, phase_, layer_,
-                   next_cpu_ordinal()};
-    trace::TraceEvent e =
-        base_event("cudaStreamSynchronize", EventCategory::CudaRuntime);
-    e.tid = tid;
-    e.dur_ns = provider_.cpu_ns(desc);
-    e.stream = stream;
-    Task t;
-    t.processor = {rank_, false, tid};
-    t.event = std::move(e);
-    const TaskId id = graph_.add_task(std::move(t));
-    if (auto it = last_cpu_.find(tid); it != last_cpu_.end()) {
-      graph_.add_edge(it->second, id, DepType::IntraThread);
-    }
-    if (auto it = pending_thread_dep_.find(tid);
-        it != pending_thread_dep_.end()) {
-      graph_.add_edge(it->second, id, DepType::InterThread);
-      pending_thread_dep_.erase(it);
-    }
-    last_cpu_[tid] = id;
-    return id;
+  void sync_stream(std::int32_t tid, std::int64_t stream) {
+    cpu(tid, op_name("cudaStreamSynchronize"), EventCategory::CudaRuntime,
+        stream);
   }
 
-  TaskId device_sync(std::int32_t tid) {
-    CpuOpDesc desc{"cudaDeviceSynchronize", block_, phase_, layer_,
-                   next_cpu_ordinal()};
-    trace::TraceEvent e =
-        base_event("cudaDeviceSynchronize", EventCategory::CudaRuntime);
-    e.tid = tid;
-    e.dur_ns = provider_.cpu_ns(desc);
-    Task t;
-    t.processor = {rank_, false, tid};
-    t.event = std::move(e);
-    const TaskId id = graph_.add_task(std::move(t));
-    if (auto it = last_cpu_.find(tid); it != last_cpu_.end()) {
-      graph_.add_edge(it->second, id, DepType::IntraThread);
-    }
-    last_cpu_[tid] = id;
-    return id;
+  void device_sync(std::int32_t tid) {
+    cpu(tid, op_name("cudaDeviceSynchronize"), EventCategory::CudaRuntime);
   }
 
   // ---------------------------------------------------------------------
@@ -278,7 +340,7 @@ class RankBuilder {
   }
   std::int64_t dtype_bytes() const { return 2; }  // BF16 activations
 
-  KernelDesc gemm_desc(const char* name, std::int64_t m, std::int64_t n,
+  KernelDesc gemm_desc(OpName name, std::int64_t m, std::int64_t n,
                        std::int64_t k) const {
     KernelDesc d;
     d.name = name;
@@ -286,23 +348,11 @@ class RankBuilder {
     return d;
   }
 
-  KernelDesc elementwise_desc(const char* name, std::int64_t bytes) const {
+  KernelDesc elementwise_desc(OpName name, std::int64_t bytes) const {
     KernelDesc d;
     d.name = name;
     d.elementwise_bytes = bytes;
     return d;
-  }
-
-  std::string tp_group_name() const {
-    std::ostringstream out;
-    out << "tp_pp" << stage_ << "_dp" << options_.dp_rank;
-    return out.str();
-  }
-
-  std::string dp_group_name() const {
-    std::ostringstream out;
-    out << "dp_tp" << tp_rank_ << "_pp" << stage_;
-    return out.str();
   }
 
   /// TP all-reduce with full event-sync choreography: the NCCL stream waits
@@ -310,16 +360,15 @@ class RankBuilder {
   void tp_allreduce(std::int32_t tid, std::int64_t bytes) {
     if (config_.tp <= 1) return;
     record_wait(tid, lanes::kComputeStream, lanes::kTpStream);
-    cpu(tid, "c10d::allreduce_");
-    KernelDesc d;
-    d.name = "ncclDevKernel_AllReduce_Sum_bf16_RING";
-    d.collective.op = "allreduce";
-    d.collective.group = tp_group_name();
-    d.collective.bytes = bytes;
-    d.collective.group_size = config_.tp;
-    d.collective.instance = group_instance_[d.collective.group]++;
-    d.placement = placement_.tp_placement(rank_);
-    kernel(tid, std::move(d), lanes::kTpStream);
+    cpu(tid, op_name("c10d::allreduce_"));
+    if (tp_group_ == kNoId) {
+      tp_group_ = ctx_.group("tp_pp", stage_, "_dp", options_.dp_rank);
+    }
+    comm_kernel(tid, op_name("ncclDevKernel_AllReduce_Sum_bf16_RING"),
+                CommOp::AllReduce, tp_group_, tp_instance_++,
+                {cost::CollectiveKind::AllReduce, bytes, config_.tp,
+                 placement_.tp_placement(rank_)},
+                lanes::kTpStream);
     record_wait(tid, lanes::kTpStream, lanes::kComputeStream);
   }
 
@@ -328,26 +377,23 @@ class RankBuilder {
   void p2p(std::int32_t tid, bool send, bool forward_dir,
            std::int32_t from_stage, std::int32_t to_stage,
            std::int32_t microbatch) {
-    std::ostringstream group;
-    group << "pp_" << (forward_dir ? "fwd" : "bwd") << "_s" << from_stage
-          << "to" << to_stage << "_tp" << tp_rank_ << "_dp"
-          << options_.dp_rank << "_mb" << microbatch;
+    const std::uint32_t group = ctx_.group(
+        forward_dir ? "pp_fwd_s" : "pp_bwd_s", from_stage, "to", to_stage,
+        "_tp", tp_rank_, "_dp", options_.dp_rank, "_mb", microbatch);
     const std::int64_t stream =
         send ? lanes::kPpSendStream : lanes::kPpRecvStream;
     if (send) {
       // The payload must exist before the send kernel may run.
       record_wait(tid, lanes::kComputeStream, stream);
     }
-    cpu(tid, send ? "c10d::send" : "c10d::recv");
-    KernelDesc d;
-    d.name = "ncclDevKernel_SendRecv";
-    d.collective.op = send ? "send" : "recv";
-    d.collective.group = group.str();
-    d.collective.bytes = tokens() * model_.d_model * dtype_bytes();
-    d.collective.group_size = 2;
-    d.collective.instance = 0;  // group names are unique per transfer
-    d.placement = placement_.pp_placement(rank_);
-    kernel(tid, std::move(d), stream);
+    cpu(tid, send ? op_name("c10d::send") : op_name("c10d::recv"));
+    // Group names are unique per transfer, so every instance is 0.
+    comm_kernel(tid, op_name("ncclDevKernel_SendRecv"),
+                send ? CommOp::Send : CommOp::Recv, group, 0,
+                {cost::CollectiveKind::SendRecv,
+                 tokens() * model_.d_model * dtype_bytes(), 2,
+                 placement_.pp_placement(rank_)},
+                stream);
     if (!send) {
       // Compute consumes the received tensor.
       record_wait(tid, stream, lanes::kComputeStream);
@@ -355,40 +401,40 @@ class RankBuilder {
   }
 
   void embedding_forward(std::int32_t microbatch) {
-    begin_block("embed", -1, "forward", microbatch);
+    begin_block(Block::Embed, -1, Phase::Forward, microbatch);
     const std::int64_t act_bytes = tokens() * model_.d_model * dtype_bytes();
-    cpu(lanes::kMainThread, "aten::embedding");
+    cpu(lanes::kMainThread, op_name("aten::embedding"));
     kernel(lanes::kMainThread,
-           elementwise_desc("embedding_dense_kernel", 2 * act_bytes),
+           elementwise_desc(op_name("embedding_dense_kernel"), 2 * act_bytes),
            lanes::kComputeStream);
   }
 
   void embedding_backward() {
-    begin_block("embed", -1, "backward", microbatch_);
+    begin_block(Block::Embed, -1, Phase::Backward, microbatch_);
     const std::int64_t act_bytes = tokens() * model_.d_model * dtype_bytes();
-    cpu(lanes::kAutogradThread, "autograd::EmbeddingBackward0");
+    cpu(lanes::kAutogradThread, op_name("autograd::EmbeddingBackward0"));
     kernel(lanes::kAutogradThread,
-           elementwise_desc("embedding_backward_kernel", 3 * act_bytes),
+           elementwise_desc(op_name("embedding_backward_kernel"), 3 * act_bytes),
            lanes::kComputeStream);
   }
 
   void head_forward(std::int32_t microbatch) {
-    begin_block("head", -1, "forward", microbatch);
+    begin_block(Block::Head, -1, Phase::Forward, microbatch);
     const std::int64_t T = tokens();
     const std::int64_t d = model_.d_model;
     const std::int64_t vshard = model_.vocab_size / config_.tp;
-    cpu(lanes::kMainThread, "aten::native_layer_norm");
+    cpu(lanes::kMainThread, op_name("aten::native_layer_norm"));
     kernel(lanes::kMainThread,
-           elementwise_desc("layer_norm_fwd_kernel",
+           elementwise_desc(op_name("layer_norm_fwd_kernel"),
                             3 * T * d * dtype_bytes()),
            lanes::kComputeStream);
-    cpu(lanes::kMainThread, "aten::linear");
+    cpu(lanes::kMainThread, op_name("aten::linear"));
     kernel(lanes::kMainThread,
-           gemm_desc("sm90_xmma_gemm_bf16_lm_head", T, vshard, d),
+           gemm_desc(op_name("sm90_xmma_gemm_bf16_lm_head"), T, vshard, d),
            lanes::kComputeStream);
-    cpu(lanes::kMainThread, "aten::log_softmax");
+    cpu(lanes::kMainThread, op_name("aten::log_softmax"));
     kernel(lanes::kMainThread,
-           elementwise_desc("vocab_parallel_cross_entropy_kernel",
+           elementwise_desc(op_name("vocab_parallel_cross_entropy_kernel"),
                             3 * T * vshard * dtype_bytes()),
            lanes::kComputeStream);
     // Vocab-parallel loss reduction (small TP all-reduce of per-token loss).
@@ -396,31 +442,31 @@ class RankBuilder {
   }
 
   void head_backward() {
-    begin_block("head", -1, "backward", microbatch_);
+    begin_block(Block::Head, -1, Phase::Backward, microbatch_);
     const std::int64_t T = tokens();
     const std::int64_t d = model_.d_model;
     const std::int64_t vshard = model_.vocab_size / config_.tp;
-    cpu(lanes::kAutogradThread, "autograd::NllLossBackward0");
+    cpu(lanes::kAutogradThread, op_name("autograd::NllLossBackward0"));
     kernel(lanes::kAutogradThread,
-           elementwise_desc("cross_entropy_backward_kernel",
+           elementwise_desc(op_name("cross_entropy_backward_kernel"),
                             3 * T * vshard * dtype_bytes()),
            lanes::kComputeStream);
-    cpu(lanes::kAutogradThread, "autograd::MmBackward0");
+    cpu(lanes::kAutogradThread, op_name("autograd::MmBackward0"));
     kernel(lanes::kAutogradThread,
-           gemm_desc("sm90_xmma_gemm_bf16_lm_head_dgrad", T, d, vshard),
+           gemm_desc(op_name("sm90_xmma_gemm_bf16_lm_head_dgrad"), T, d, vshard),
            lanes::kComputeStream);
     kernel(lanes::kAutogradThread,
-           gemm_desc("sm90_xmma_gemm_bf16_lm_head_wgrad", d, vshard, T),
+           gemm_desc(op_name("sm90_xmma_gemm_bf16_lm_head_wgrad"), d, vshard, T),
            lanes::kComputeStream);
-    cpu(lanes::kAutogradThread, "autograd::NativeLayerNormBackward0");
+    cpu(lanes::kAutogradThread, op_name("autograd::NativeLayerNormBackward0"));
     kernel(lanes::kAutogradThread,
-           elementwise_desc("layer_norm_bwd_kernel",
+           elementwise_desc(op_name("layer_norm_bwd_kernel"),
                             4 * T * d * dtype_bytes()),
            lanes::kComputeStream);
   }
 
   void forward_layer(std::int32_t layer, std::int32_t microbatch) {
-    begin_block("layer", layer, "forward", microbatch);
+    begin_block(Block::Layer, layer, Phase::Forward, microbatch);
     const std::int64_t T = tokens();
     const std::int64_t d = model_.d_model;
     const std::int64_t ff_shard = model_.d_ff / config_.tp;
@@ -428,52 +474,52 @@ class RankBuilder {
     const std::int64_t act = T * d * dtype_bytes();
     const std::int32_t tid = lanes::kMainThread;
 
-    cpu(tid, "aten::native_layer_norm");
-    kernel(tid, elementwise_desc("layer_norm_fwd_kernel", 3 * act),
+    cpu(tid, op_name("aten::native_layer_norm"));
+    kernel(tid, elementwise_desc(op_name("layer_norm_fwd_kernel"), 3 * act),
            lanes::kComputeStream);
-    cpu(tid, "aten::linear");
-    kernel(tid, gemm_desc("sm90_xmma_gemm_bf16_qkv", T, 3 * d_shard, d),
+    cpu(tid, op_name("aten::linear"));
+    kernel(tid, gemm_desc(op_name("sm90_xmma_gemm_bf16_qkv"), T, 3 * d_shard, d),
            lanes::kComputeStream);
-    cpu(tid, "aten::scaled_dot_product_attention");
+    cpu(tid, op_name("aten::scaled_dot_product_attention"));
     {
       KernelDesc a;
-      a.name = "flash_fwd_kernel";
+      a.name = op_name("flash_fwd_kernel");
       a.attn_batch = config_.microbatch_size;
       a.attn_heads = model_.num_heads / config_.tp;
       a.attn_seq = model_.seq_len;
       a.attn_head_dim = model_.head_dim;
       kernel(tid, std::move(a), lanes::kComputeStream);
     }
-    cpu(tid, "aten::linear");
-    kernel(tid, gemm_desc("sm90_xmma_gemm_bf16_attn_proj", T, d, d_shard),
+    cpu(tid, op_name("aten::linear"));
+    kernel(tid, gemm_desc(op_name("sm90_xmma_gemm_bf16_attn_proj"), T, d, d_shard),
            lanes::kComputeStream);
     tp_allreduce(tid, act);
-    cpu(tid, "aten::add_");
-    kernel(tid, elementwise_desc("vectorized_elementwise_kernel", 3 * act),
+    cpu(tid, op_name("aten::add_"));
+    kernel(tid, elementwise_desc(op_name("vectorized_elementwise_kernel"), 3 * act),
            lanes::kComputeStream);
 
-    cpu(tid, "aten::native_layer_norm");
-    kernel(tid, elementwise_desc("layer_norm_fwd_kernel", 3 * act),
+    cpu(tid, op_name("aten::native_layer_norm"));
+    kernel(tid, elementwise_desc(op_name("layer_norm_fwd_kernel"), 3 * act),
            lanes::kComputeStream);
-    cpu(tid, "aten::linear");
-    kernel(tid, gemm_desc("sm90_xmma_gemm_bf16_fc1", T, ff_shard, d),
+    cpu(tid, op_name("aten::linear"));
+    kernel(tid, gemm_desc(op_name("sm90_xmma_gemm_bf16_fc1"), T, ff_shard, d),
            lanes::kComputeStream);
-    cpu(tid, "aten::gelu");
+    cpu(tid, op_name("aten::gelu"));
     kernel(tid,
-           elementwise_desc("gelu_forward_kernel",
+           elementwise_desc(op_name("gelu_forward_kernel"),
                             2 * T * ff_shard * dtype_bytes()),
            lanes::kComputeStream);
-    cpu(tid, "aten::linear");
-    kernel(tid, gemm_desc("sm90_xmma_gemm_bf16_fc2", T, d, ff_shard),
+    cpu(tid, op_name("aten::linear"));
+    kernel(tid, gemm_desc(op_name("sm90_xmma_gemm_bf16_fc2"), T, d, ff_shard),
            lanes::kComputeStream);
     tp_allreduce(tid, act);
-    cpu(tid, "aten::add_");
-    kernel(tid, elementwise_desc("vectorized_elementwise_kernel", 3 * act),
+    cpu(tid, op_name("aten::add_"));
+    kernel(tid, elementwise_desc(op_name("vectorized_elementwise_kernel"), 3 * act),
            lanes::kComputeStream);
   }
 
   void backward_layer(std::int32_t layer, std::int32_t microbatch) {
-    begin_block("layer", layer, "backward", microbatch);
+    begin_block(Block::Layer, layer, Phase::Backward, microbatch);
     const std::int64_t T = tokens();
     const std::int64_t d = model_.d_model;
     const std::int64_t ff_shard = model_.d_ff / config_.tp;
@@ -481,52 +527,52 @@ class RankBuilder {
     const std::int64_t act = T * d * dtype_bytes();
     const std::int32_t tid = lanes::kAutogradThread;
 
-    cpu(tid, "autograd::AddBackward0");
-    kernel(tid, elementwise_desc("vectorized_elementwise_kernel", 2 * act),
+    cpu(tid, op_name("autograd::AddBackward0"));
+    kernel(tid, elementwise_desc(op_name("vectorized_elementwise_kernel"), 2 * act),
            lanes::kComputeStream);
-    cpu(tid, "autograd::MmBackward0");  // fc2
-    kernel(tid, gemm_desc("sm90_xmma_gemm_bf16_fc2_dgrad", T, ff_shard, d),
+    cpu(tid, op_name("autograd::MmBackward0"));  // fc2
+    kernel(tid, gemm_desc(op_name("sm90_xmma_gemm_bf16_fc2_dgrad"), T, ff_shard, d),
            lanes::kComputeStream);
-    kernel(tid, gemm_desc("sm90_xmma_gemm_bf16_fc2_wgrad", d, ff_shard, T),
+    kernel(tid, gemm_desc(op_name("sm90_xmma_gemm_bf16_fc2_wgrad"), d, ff_shard, T),
            lanes::kComputeStream);
-    cpu(tid, "autograd::GeluBackward0");
+    cpu(tid, op_name("autograd::GeluBackward0"));
     kernel(tid,
-           elementwise_desc("gelu_backward_kernel",
+           elementwise_desc(op_name("gelu_backward_kernel"),
                             3 * T * ff_shard * dtype_bytes()),
            lanes::kComputeStream);
-    cpu(tid, "autograd::MmBackward0");  // fc1
-    kernel(tid, gemm_desc("sm90_xmma_gemm_bf16_fc1_dgrad", T, d, ff_shard),
+    cpu(tid, op_name("autograd::MmBackward0"));  // fc1
+    kernel(tid, gemm_desc(op_name("sm90_xmma_gemm_bf16_fc1_dgrad"), T, d, ff_shard),
            lanes::kComputeStream);
-    kernel(tid, gemm_desc("sm90_xmma_gemm_bf16_fc1_wgrad", d, ff_shard, T),
+    kernel(tid, gemm_desc(op_name("sm90_xmma_gemm_bf16_fc1_wgrad"), d, ff_shard, T),
            lanes::kComputeStream);
     tp_allreduce(tid, act);
-    cpu(tid, "autograd::NativeLayerNormBackward0");
-    kernel(tid, elementwise_desc("layer_norm_bwd_kernel", 4 * act),
+    cpu(tid, op_name("autograd::NativeLayerNormBackward0"));
+    kernel(tid, elementwise_desc(op_name("layer_norm_bwd_kernel"), 4 * act),
            lanes::kComputeStream);
-    cpu(tid, "autograd::FlashAttentionBackward0");
+    cpu(tid, op_name("autograd::FlashAttentionBackward0"));
     {
       KernelDesc a;
-      a.name = "flash_bwd_kernel";
+      a.name = op_name("flash_bwd_kernel");
       a.attn_batch = config_.microbatch_size;
       a.attn_heads = model_.num_heads / config_.tp;
       a.attn_seq = model_.seq_len;
       a.attn_head_dim = model_.head_dim;
       kernel(tid, std::move(a), lanes::kComputeStream);
     }
-    cpu(tid, "autograd::MmBackward0");  // attn out projection
-    kernel(tid, gemm_desc("sm90_xmma_gemm_bf16_attn_dgrad", T, d_shard, d),
+    cpu(tid, op_name("autograd::MmBackward0"));  // attn out projection
+    kernel(tid, gemm_desc(op_name("sm90_xmma_gemm_bf16_attn_dgrad"), T, d_shard, d),
            lanes::kComputeStream);
-    kernel(tid, gemm_desc("sm90_xmma_gemm_bf16_attn_wgrad", d_shard, d, T),
+    kernel(tid, gemm_desc(op_name("sm90_xmma_gemm_bf16_attn_wgrad"), d_shard, d, T),
            lanes::kComputeStream);
-    cpu(tid, "autograd::MmBackward0");  // qkv
-    kernel(tid, gemm_desc("sm90_xmma_gemm_bf16_qkv_dgrad", T, d, 3 * d_shard),
+    cpu(tid, op_name("autograd::MmBackward0"));  // qkv
+    kernel(tid, gemm_desc(op_name("sm90_xmma_gemm_bf16_qkv_dgrad"), T, d, 3 * d_shard),
            lanes::kComputeStream);
     kernel(tid,
-           gemm_desc("sm90_xmma_gemm_bf16_qkv_wgrad", d, 3 * d_shard, T),
+           gemm_desc(op_name("sm90_xmma_gemm_bf16_qkv_wgrad"), d, 3 * d_shard, T),
            lanes::kComputeStream);
     tp_allreduce(tid, act);
-    cpu(tid, "autograd::NativeLayerNormBackward0");
-    kernel(tid, elementwise_desc("layer_norm_bwd_kernel", 4 * act),
+    cpu(tid, op_name("autograd::NativeLayerNormBackward0"));
+    kernel(tid, elementwise_desc(op_name("layer_norm_bwd_kernel"), 4 * act),
            lanes::kComputeStream);
   }
 
@@ -535,26 +581,26 @@ class RankBuilder {
   void dp_bucket_allreduce(std::int64_t param_elems, std::int32_t bucket) {
     // The bucket index rides in the layer field so each bucket forms a
     // distinct block instance for template extraction.
-    begin_block("dp", bucket, "backward", -1);
+    begin_block(Block::Dp, bucket, Phase::Backward, -1);
     record_wait(lanes::kAutogradThread, lanes::kComputeStream,
                 lanes::kDpStream);
-    cpu(lanes::kAutogradThread, "c10d::allreduce_");
-    KernelDesc d;
-    d.name = "ncclDevKernel_AllReduce_Sum_bf16_RING";
-    d.collective.op = "allreduce";
-    d.collective.group = dp_group_name();
-    d.collective.bytes = param_elems * dtype_bytes();
-    d.collective.group_size = config_.dp;
-    d.collective.instance = group_instance_[d.collective.group]++;
-    d.placement = placement_.dp_placement(rank_);
-    kernel(lanes::kAutogradThread, std::move(d), lanes::kDpStream);
+    cpu(lanes::kAutogradThread, op_name("c10d::allreduce_"));
+    if (dp_group_ == kNoId) {
+      dp_group_ = ctx_.group("dp_tp", tp_rank_, "_pp", stage_);
+    }
+    comm_kernel(lanes::kAutogradThread,
+                op_name("ncclDevKernel_AllReduce_Sum_bf16_RING"),
+                CommOp::AllReduce, dp_group_, dp_instance_++,
+                {cost::CollectiveKind::AllReduce, param_elems * dtype_bytes(),
+                 config_.dp, placement_.dp_placement(rank_)},
+                lanes::kDpStream);
   }
 
   void forward_pass(std::int32_t microbatch) {
-    begin_block("sched", -1, "forward", microbatch);
-    cpu(lanes::kMainThread, "megatron::forward_step");
+    begin_block(Block::Sched, -1, Phase::Forward, microbatch);
+    cpu(lanes::kMainThread, op_name("megatron::forward_step"));
     if (stage_ > 0) {
-      begin_block("pp", -1, "forward", microbatch);
+      begin_block(Block::Pp, -1, Phase::Forward, microbatch);
       p2p(lanes::kMainThread, /*send=*/false, /*forward_dir=*/true,
           stage_ - 1, stage_, microbatch);
     }
@@ -566,25 +612,25 @@ class RankBuilder {
     if (stage_ == config_.pp - 1) {
       head_forward(microbatch);
     } else {
-      begin_block("pp", -1, "forward", microbatch);
+      begin_block(Block::Pp, -1, Phase::Forward, microbatch);
       p2p(lanes::kMainThread, /*send=*/true, /*forward_dir=*/true, stage_,
           stage_ + 1, microbatch);
     }
   }
 
   void backward_pass(std::int32_t microbatch) {
-    begin_block("sched", -1, "backward", microbatch);
-    cpu(lanes::kMainThread, "megatron::backward_step");
+    begin_block(Block::Sched, -1, Phase::Backward, microbatch);
+    cpu(lanes::kMainThread, op_name("megatron::backward_step"));
     if (stage_ < config_.pp - 1) {
-      begin_block("pp", -1, "backward", microbatch);
+      begin_block(Block::Pp, -1, Phase::Backward, microbatch);
       p2p(lanes::kMainThread, /*send=*/false, /*forward_dir=*/false,
           stage_ + 1, stage_, microbatch);
     }
     // Main thread dispatches into the autograd engine; the first autograd
     // op of this segment waits on the dispatch (InterThread dependency).
-    begin_block("sched", -1, "backward", microbatch);
-    const TaskId dispatch = cpu(lanes::kMainThread, "torch::autograd::backward");
-    pending_thread_dep_[lanes::kAutogradThread] = dispatch;
+    begin_block(Block::Sched, -1, Phase::Backward, microbatch);
+    pending_thread_dep_[thread_slot(lanes::kAutogradThread)] =
+        cpu(lanes::kMainThread, op_name("torch::autograd::backward"));
 
     if (stage_ == config_.pp - 1) head_backward();
     const std::int32_t layers_per_stage = model_.num_layers / config_.pp;
@@ -616,12 +662,12 @@ class RankBuilder {
     if (stage_ == 0) embedding_backward();
 
     // Main thread resumes once the autograd segment drains.
-    if (auto it = last_cpu_.find(lanes::kAutogradThread);
-        it != last_cpu_.end()) {
-      pending_thread_dep_[lanes::kMainThread] = it->second;
+    if (const TaskId last = last_cpu_[thread_slot(lanes::kAutogradThread)];
+        last != kInvalidTask) {
+      pending_thread_dep_[thread_slot(lanes::kMainThread)] = last;
     }
     if (stage_ > 0) {
-      begin_block("pp", -1, "backward", microbatch);
+      begin_block(Block::Pp, -1, Phase::Backward, microbatch);
       p2p(lanes::kMainThread, /*send=*/true, /*forward_dir=*/false, stage_,
           stage_ - 1, microbatch);
     }
@@ -629,57 +675,56 @@ class RankBuilder {
 
   void optimizer_epilogue() {
     // All DP buckets must land before gradient clipping / optimizer.
-    begin_block("opt", -1, "optimizer", -1);
+    begin_block(Block::Opt, -1, Phase::Optimizer, -1);
     sync_stream(lanes::kMainThread, lanes::kDpStream);
 
     // Global grad-norm: local reduction + all-reduce across the model-
     // parallel group (synchronizes all pipeline stages and TP ranks).
-    begin_block("norm", -1, "optimizer", -1);
+    begin_block(Block::Norm, -1, Phase::Optimizer, -1);
     const std::int64_t params =
         model_.params_per_rank(config_.tp, config_.pp, stage_);
-    cpu(lanes::kMainThread, "megatron::clip_grad_norm");
+    cpu(lanes::kMainThread, op_name("megatron::clip_grad_norm"));
     kernel(lanes::kMainThread,
-           elementwise_desc("multi_tensor_l2norm_kernel",
+           elementwise_desc(op_name("multi_tensor_l2norm_kernel"),
                             params * dtype_bytes()),
            lanes::kComputeStream);
     record_wait(lanes::kMainThread, lanes::kComputeStream, lanes::kTpStream);
-    cpu(lanes::kMainThread, "c10d::allreduce_");
+    cpu(lanes::kMainThread, op_name("c10d::allreduce_"));
     {
-      KernelDesc d;
-      d.name = "ncclDevKernel_AllReduce_Sum_f32_RING";
-      d.collective.op = "allreduce";
-      d.collective.group = "mp_dp" + std::to_string(options_.dp_rank);
-      d.collective.bytes = 8;
-      d.collective.group_size = config_.tp * config_.pp;
-      d.collective.instance = group_instance_[d.collective.group]++;
       cost::CommPlacement p;
       p.group_size = config_.tp * config_.pp;
       p.nodes_spanned =
           std::max<std::int32_t>(1, config_.tp * config_.pp * config_.dp /
                                         config_.gpus_per_node);
-      d.placement = p;
-      kernel(lanes::kMainThread, std::move(d), lanes::kTpStream);
+      comm_kernel(lanes::kMainThread,
+                  op_name("ncclDevKernel_AllReduce_Sum_f32_RING"),
+                  CommOp::AllReduce, ctx_.group("mp_dp", options_.dp_rank), 0,
+                  {cost::CollectiveKind::AllReduce, 8, config_.tp * config_.pp,
+                   p},
+                  lanes::kTpStream);
     }
     record_wait(lanes::kMainThread, lanes::kTpStream, lanes::kComputeStream);
 
     // Fused Adam over the stage's parameter shard, in chunks the way
     // multi_tensor_apply launches.
-    begin_block("opt", -1, "optimizer", -1);
-    cpu(lanes::kMainThread, "Optimizer.step#Adam.step");
+    begin_block(Block::Opt, -1, Phase::Optimizer, -1);
+    cpu(lanes::kMainThread, op_name("Optimizer.step#Adam.step"));
     constexpr std::int32_t kAdamChunks = 4;
     for (std::int32_t c = 0; c < kAdamChunks; ++c) {
       kernel(lanes::kMainThread,
-             elementwise_desc("multi_tensor_apply_kernel_adam",
+             elementwise_desc(op_name("multi_tensor_apply_kernel_adam"),
                               params / kAdamChunks * 28),
              lanes::kComputeStream);
     }
-    cpu(lanes::kMainThread, "Optimizer.zero_grad#Adam.zero_grad");
+    cpu(lanes::kMainThread, op_name("Optimizer.zero_grad#Adam.zero_grad"));
     kernel(lanes::kMainThread,
-           elementwise_desc("Memset (Device)", params * dtype_bytes()),
+           elementwise_desc(op_name("Memset (Device)"),
+                            params * dtype_bytes()),
            lanes::kComputeStream, EventCategory::Memset);
     device_sync(lanes::kMainThread);
   }
 
+  BuildContext& ctx_;
   ExecutionGraph& graph_;
   DurationProvider& provider_;
   const ModelSpec& model_;
@@ -689,27 +734,33 @@ class RankBuilder {
   std::int32_t stage_;
   std::int32_t tp_rank_;
   std::int32_t rank_;
+  std::int32_t layers_per_stage_;
+  std::int32_t microbatch_slots_;
 
   // annotation context
-  std::string block_;
+  Block block_ = Block::Sched;
   std::int32_t layer_ = -1;
-  std::string phase_;
+  Phase phase_ = Phase::Forward;
   std::int32_t microbatch_ = -1;
+  std::uint32_t block_id_ = kNoId;
+  std::uint32_t phase_id_ = kNoId;
 
   // per-rank construction state
   std::int64_t seq_ = 0;
   std::int64_t next_correlation_ = 1;
   std::int64_t next_cuda_event_ = 1;
-  std::unordered_map<std::int32_t, TaskId> last_cpu_;
-  std::unordered_map<std::int32_t, TaskId> pending_thread_dep_;
-  std::map<std::int64_t, TaskId> last_kernel_;
-  std::map<std::int64_t, std::vector<TaskId>> pending_waits_;
-  std::map<std::string, std::int64_t> group_instance_;
-  /// (block, layer, phase, microbatch) -> (next cpu ordinal, next kernel
-  /// ordinal); mirrors template extraction's counters.
-  std::map<std::tuple<std::string, std::int32_t, std::string, std::int32_t>,
-           std::pair<std::int32_t, std::int32_t>>
-      ordinals_;
+  std::array<TaskId, kThreads> last_cpu_;
+  std::array<TaskId, kThreads> pending_thread_dep_;
+  std::array<TaskId, kStreams> last_kernel_;
+  std::array<std::vector<TaskId>, kStreams> pending_waits_;
+  std::uint32_t tp_group_ = kNoId;
+  std::uint32_t dp_group_ = kNoId;
+  std::int64_t tp_instance_ = 0;
+  std::int64_t dp_instance_ = 0;
+  /// (block, phase, layer, microbatch) instance -> (next cpu ordinal, next
+  /// kernel ordinal); mirrors template extraction's counters.
+  std::vector<std::pair<std::int32_t, std::int32_t>> ordinals_;
+  std::size_t ordinal_slot_ = 0;
 };
 
 }  // namespace
@@ -732,15 +783,25 @@ BuiltJob IterationGraphBuilder::build() {
   job.config = config_;
   job.options = options_;
   Placement placement(config_);
+  BuildContext ctx(job.graph);
   for (std::int32_t stage = 0; stage < config_.pp; ++stage) {
     for (std::int32_t t = 0; t < config_.tp; ++t) {
-      RankBuilder rank(job.graph, provider_, model_, config_, options_,
-                       placement, stage, t);
+      RankBuilder rank(ctx, provider_, model_, config_, options_, placement,
+                       stage, t);
       rank.build();
+      if (stage == 0 && t == 0) {
+        // Ranks differ only in their boundary work (embedding, head, p2p),
+        // so the first rank sizes the rest; the slack covers the boundary
+        // stages, and capacity never touched costs no memory.
+        const std::size_t ranks =
+            static_cast<std::size_t>(config_.tp) * config_.pp;
+        job.graph.reserve(job.graph.size() * ranks * 5 / 4,
+                          job.graph.edges().size() * ranks * 5 / 4);
+      }
     }
   }
-  // Build-time classification: intern the emitted names/ops/groups and
-  // materialize the columnar metadata before the job is handed out.
+  // Build-time classification: materialize the columnar metadata from the
+  // id columns before the job is handed out.
   job.graph.finalize();
   return job;
 }

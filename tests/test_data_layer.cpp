@@ -113,11 +113,16 @@ ExecutionGraph mixed_graph() {
   add(0, true, 7, "gemm", trace::EventCategory::Kernel, 100);
   add(1, true, 7, "gemm", trace::EventCategory::Kernel, 100);
   add(1, false, 2, "op_a", trace::EventCategory::CpuOp, 10);
-  add(0, true, 13, "nccl", trace::EventCategory::Kernel, 50);
-  core::Task& coll = g.task(5);
+  Task coll;
+  coll.processor = {0, true, 13};
+  coll.event.name = "nccl";
+  coll.event.cat = trace::EventCategory::Kernel;
+  coll.event.dur_ns = 50;
+  coll.event.ts_ns = seq++;
   coll.event.collective.op = "allreduce";
   coll.event.collective.group = "tp_0";
   coll.event.collective.instance = 0;
+  g.add_task(coll);
   return g;
 }
 
@@ -158,7 +163,7 @@ TEST(TaskMetaTable, ColumnsMatchTaskReclassification) {
   ExecutionGraph g = mixed_graph();
   const TaskMetaTable& meta = g.meta();
   ASSERT_EQ(meta.size(), g.size());
-  for (const Task& t : g.tasks()) {
+  for (const Task& t : testutil::task_views(g)) {
     const TaskId id = t.id;
     EXPECT_EQ(meta.category(id), t.event.cat);
     EXPECT_EQ(meta.cuda_api(id), t.cuda_api());
@@ -218,9 +223,9 @@ TEST(TaskMetaTable, GpuTasksPerLaneInLaunchOrder) {
 TEST(TaskMetaTable, MutationInvalidatesMeta) {
   ExecutionGraph g = mixed_graph();
   EXPECT_EQ(g.meta().duration_ns(0), 10);
-  g.task(0).event.dur_ns = 77;  // non-const access invalidates
+  g.set_duration_ns(0, 77);  // column mutation invalidates
   EXPECT_EQ(g.meta().duration_ns(0), 77);
-  g.tasks()[0].event.name = "renamed";
+  g.set_name(0, {g.pools()->names.intern("renamed")});
   EXPECT_EQ(g.meta().name_view(0), "renamed");
 }
 
@@ -310,13 +315,14 @@ TEST_F(GoldenReplay, CopiedGraphReplaysBitIdentically) {
 }
 
 TEST_F(GoldenReplay, LazyAndEagerMetaAgree) {
-  // The parser finalizes eagerly; force the lazy path by mutating a task
-  // (invalidates meta) and reverting, then compare against a fresh parse.
+  // The parser finalizes eagerly; force the lazy path by rewriting a task
+  // column (invalidates meta), then compare against a fresh parse.
   ExecutionGraph eager = core::TraceParser().parse(run_->trace);
   const SimResult reference = core::replay(eager);
   ExecutionGraph lazy = core::TraceParser().parse(run_->trace);
-  const std::int64_t dur = lazy.task(0).event.dur_ns;  // invalidates meta
-  lazy.task(0).event.dur_ns = dur;                     // unchanged payload
+  // Rewriting a duration with its own value invalidates the meta table
+  // without changing the payload.
+  lazy.set_duration_ns(0, lazy.task(0).event.dur_ns);
   expect_identical(core::replay(lazy), reference);
 }
 

@@ -314,11 +314,11 @@ TEST(Fusion, NeverFusesGemmOrCollectives) {
   core::FusionResult fused = core::fuse_elementwise(graph);
   std::size_t gemms_before = 0, gemms_after = 0, comms_before = 0,
               comms_after = 0;
-  for (const core::Task& t : graph.tasks()) {
+  for (const core::Task& t : testutil::task_views(graph)) {
     gemms_before += t.event.gemm.valid();
     comms_before += t.is_collective_kernel();
   }
-  for (const core::Task& t : fused.graph.tasks()) {
+  for (const core::Task& t : testutil::task_views(fused.graph)) {
     gemms_after += t.event.gemm.valid();
     comms_after += t.is_collective_kernel();
   }

@@ -70,8 +70,8 @@ TEST_F(ManipulatorFixture, DataParallelismChangeKeepsLocalWork) {
   // Only DP communication durations may change.
   ASSERT_EQ(scaled.graph.size(), run_->job.graph.size());
   for (std::size_t i = 0; i < scaled.graph.size(); ++i) {
-    const Task& a = run_->job.graph.tasks()[i];
-    const Task& b = scaled.graph.tasks()[i];
+    const Task& a = run_->job.graph.task(static_cast<core::TaskId>(i));
+    const Task& b = scaled.graph.task(static_cast<core::TaskId>(i));
     ASSERT_EQ(a.event.name, b.event.name);
     if (a.is_collective_kernel() &&
         a.event.collective.group.rfind("dp_", 0) == 0) {
@@ -83,13 +83,13 @@ TEST_F(ManipulatorFixture, DataParallelismChangeKeepsLocalWork) {
 TEST_F(ManipulatorFixture, LargerDpGroupSlowsDpCollectives) {
   workload::BuiltJob scaled = manip_->with_data_parallelism(16);
   std::int64_t base_dp = 0, scaled_dp = 0;
-  for (const Task& t : run_->job.graph.tasks()) {
+  for (const Task& t : testutil::task_views(run_->job.graph)) {
     if (t.is_collective_kernel() &&
         t.event.collective.group.rfind("dp_", 0) == 0) {
       base_dp += t.event.dur_ns;
     }
   }
-  for (const Task& t : scaled.graph.tasks()) {
+  for (const Task& t : testutil::task_views(scaled.graph)) {
     if (t.is_collective_kernel() &&
         t.event.collective.group.rfind("dp_", 0) == 0) {
       scaled_dp += t.event.dur_ns;
@@ -105,7 +105,7 @@ TEST_F(ManipulatorFixture, PpChangeRestagesLayers) {
   // Every stage now owns 2 of the 8 layers.
   workload::Placement placement(scaled.config);
   std::map<std::int32_t, std::set<std::int32_t>> layers_per_stage;
-  for (const Task& t : scaled.graph.tasks()) {
+  for (const Task& t : testutil::task_views(scaled.graph)) {
     if (t.event.layer >= 0 && t.event.block == "layer") {
       layers_per_stage[placement.coord(t.processor.rank).pp_rank].insert(
           t.event.layer);
@@ -136,7 +136,7 @@ TEST_F(ManipulatorFixture, MoreLayersDuplicateTasks) {
   workload::BuiltJob deeper = manip_->with_num_layers(16);
   EXPECT_GT(deeper.graph.size(), run_->job.graph.size());
   std::set<std::int32_t> layers;
-  for (const Task& t : deeper.graph.tasks()) {
+  for (const Task& t : testutil::task_views(deeper.graph)) {
     if (t.event.layer >= 0 && t.event.block == "layer") {
       layers.insert(t.event.layer);
     }
@@ -163,7 +163,7 @@ TEST_F(ManipulatorFixture, HiddenSizeChangeRescalesGemms) {
   auto mean_gemm = [](const ExecutionGraph& g) {
     double total = 0;
     int n = 0;
-    for (const Task& t : g.tasks()) {
+    for (const Task& t : testutil::task_views(g)) {
       if (t.event.name == "sm90_xmma_gemm_bf16_qkv") {
         total += static_cast<double>(t.event.dur_ns);
         ++n;
@@ -238,12 +238,13 @@ TEST(TemplateProviderStandalone, CommTemplatesUseMinimumDuration) {
   cost::KernelPerfModel km;
   TemplateProvider provider(g, tiny_model(), tiny_config(2, 1, 1), km);
   workload::KernelDesc desc;
-  desc.name = "ncclDevKernel_AllReduce_Sum_bf16_RING";
-  desc.block = "layer";
-  desc.phase = "forward";
+  desc.name = workload::op_name("ncclDevKernel_AllReduce_Sum_bf16_RING");
+  desc.block = workload::Block::Layer;
+  desc.phase = workload::Phase::Forward;
   desc.ordinal = 0;
-  desc.collective = {"allreduce", "tp_pp0_dp0", 1024, 2, 0};
-  desc.placement = {.group_size = 2, .nodes_spanned = 1};
+  desc.collective = workload::CollectiveDesc{
+      cost::CollectiveKind::AllReduce, 1024, 2,
+      {.group_size = 2, .nodes_spanned = 1}};
   EXPECT_EQ(provider.kernel_ns(desc), 500);
 }
 

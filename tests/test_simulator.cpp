@@ -55,15 +55,18 @@ struct GraphFixture {
 
   TaskId collective(std::int32_t rank, std::int64_t stream, std::int64_t dur,
                     std::string group, std::int64_t instance,
-                    std::string op = "allreduce") {
-    TaskId id = kernel(rank, stream, dur, "nccl");
-    Task& t = g.task(id);
-    t.event.collective.op = std::move(op);
-    t.event.collective.group = std::move(group);
-    t.event.collective.instance = instance;
-    t.event.collective.bytes = 1024;
-    t.event.collective.group_size = 2;
-    return id;
+                    std::string op = "allreduce",
+                    std::int32_t group_size = 2) {
+    Task t;
+    t.processor = {rank, true, stream};
+    t.event.name = "nccl";
+    t.event.cat = trace::EventCategory::Kernel;
+    t.event.dur_ns = dur;
+    t.event.ts_ns = seq++;
+    t.event.stream = stream;
+    t.event.collective = {std::move(op), std::move(group), 1024, group_size,
+                          instance};
+    return g.add_task(std::move(t));
   }
 
   SimResult run(bool coupled = false, SimulatorHooks* hooks = nullptr) {
@@ -339,10 +342,9 @@ TEST(Simulator, CollectiveHookSeesConcurrency) {
   } hooks;
   GraphFixture f;
   // Two overlapping collectives on different streams of the same rank.
-  f.collective(0, 13, 1'000, "tp_0", 0);
-  f.collective(0, 17, 1'000, "dp_0", 0);
-  // Make instances singletons so they rendezvous immediately but overlap.
-  for (Task& t : f.g.tasks()) t.event.collective.group_size = 1;
+  // Singleton instances so they rendezvous immediately but overlap.
+  f.collective(0, 13, 1'000, "tp_0", 0, "allreduce", /*group_size=*/1);
+  f.collective(0, 17, 1'000, "dp_0", 0, "allreduce", /*group_size=*/1);
   SimResult r = f.run(/*coupled=*/true, &hooks);
   ASSERT_TRUE(r.complete());
   EXPECT_GE(hooks.max_concurrent, 1);

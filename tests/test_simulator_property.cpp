@@ -15,6 +15,7 @@
 
 #include "core/execution_graph.h"
 #include "core/simulator.h"
+#include "test_util.h"
 
 namespace lumos::core {
 namespace {
@@ -176,7 +177,7 @@ TEST_P(SimulatorProperty, StartsRespectFixedDependencies) {
 
 TEST_P(SimulatorProperty, ProcessorsNeverOverlap) {
   std::map<Processor, std::vector<TaskId>> per_proc;
-  for (const Task& t : graph().tasks()) per_proc[t.processor].push_back(t.id);
+  for (const Task& t : testutil::task_views(graph())) per_proc[t.processor].push_back(t.id);
   for (auto& [proc, ids] : per_proc) {
     std::sort(ids.begin(), ids.end(), [&](TaskId a, TaskId b) {
       return result_.start_ns[static_cast<std::size_t>(a)] <
@@ -191,7 +192,7 @@ TEST_P(SimulatorProperty, ProcessorsNeverOverlap) {
 
 TEST_P(SimulatorProperty, StreamsExecuteInLaunchOrder) {
   std::map<std::pair<std::int32_t, std::int64_t>, TaskId> prev;
-  for (const Task& t : graph().tasks()) {
+  for (const Task& t : testutil::task_views(graph())) {
     if (!t.is_gpu()) continue;
     auto key = std::make_pair(t.processor.rank, t.processor.lane);
     if (auto it = prev.find(key); it != prev.end()) {
@@ -203,9 +204,9 @@ TEST_P(SimulatorProperty, StreamsExecuteInLaunchOrder) {
 }
 
 TEST_P(SimulatorProperty, BlockingSyncsWaitForPriorStreamWork) {
-  for (const Task& t : graph().tasks()) {
+  for (const Task& t : testutil::task_views(graph())) {
     if (t.cuda_api() != trace::CudaApi::StreamSynchronize) continue;
-    for (const Task& k : graph().tasks()) {
+    for (const Task& k : testutil::task_views(graph())) {
       if (k.is_gpu() && k.processor.rank == t.processor.rank &&
           k.processor.lane == t.event.stream && k.id < t.id) {
         EXPECT_GE(result_.start_ns[static_cast<std::size_t>(t.id)],
@@ -236,7 +237,7 @@ TEST_P(SimulatorProperty, MakespanMatchesExtremes) {
 
 TEST_P(SimulatorProperty, CoupledCollectivesFinishTogether) {
   std::map<std::pair<std::string, std::int64_t>, std::vector<TaskId>> groups;
-  for (const Task& t : graph().tasks()) {
+  for (const Task& t : testutil::task_views(graph())) {
     if (t.is_collective_kernel() && t.event.collective.instance >= 0) {
       groups[{t.event.collective.group, t.event.collective.instance}]
           .push_back(t.id);
@@ -254,7 +255,7 @@ TEST_P(SimulatorProperty, CoupledCollectivesFinishTogether) {
 TEST_P(SimulatorProperty, MakespanAtLeastCriticalChain) {
   // The makespan can never beat the heaviest single processor's total work.
   std::map<Processor, std::int64_t> work;
-  for (const Task& t : graph().tasks()) {
+  for (const Task& t : testutil::task_views(graph())) {
     work[t.processor] +=
         result_.end_ns[static_cast<std::size_t>(t.id)] -
         result_.start_ns[static_cast<std::size_t>(t.id)];

@@ -141,11 +141,11 @@ TEST(Snapshot, LazyTasksMaterializeIdenticalToTheOriginal) {
   Result<BaselineArtifacts> loaded = load_baseline_snapshot(path);
   ASSERT_TRUE(loaded.is_ok());
 
-  // size() answers without materializing; tasks() then rebuilds the
-  // authoring vector on demand, field-for-field equal to the original.
+  // The loaded graph's task columns are views of the mapping; task(id)
+  // materializes views field-for-field equal to the original's.
   ASSERT_EQ(loaded->graph->size(), base->graph->size());
-  const std::vector<core::Task>& original = base->graph->tasks();
-  const std::vector<core::Task>& rebuilt = loaded->graph->tasks();
+  const std::vector<core::Task> original = testutil::task_views(*base->graph);
+  const std::vector<core::Task> rebuilt = testutil::task_views(*loaded->graph);
   ASSERT_EQ(original.size(), rebuilt.size());
   for (std::size_t i = 0; i < original.size(); ++i) {
     EXPECT_EQ(original[i].id, rebuilt[i].id);

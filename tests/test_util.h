@@ -39,6 +39,17 @@ inline workload::ParallelConfig tiny_config(std::int32_t tp = 2,
   return c;
 }
 
+/// Materialized Task views of every task, in id order (the graph stores
+/// columns; tests that inspect whole tasks iterate these).
+inline std::vector<core::Task> task_views(const core::ExecutionGraph& g) {
+  std::vector<core::Task> out;
+  out.reserve(g.size());
+  for (std::size_t i = 0; i < g.size(); ++i) {
+    out.push_back(g.task(static_cast<core::TaskId>(i)));
+  }
+  return out;
+}
+
 /// Identity of a task that is stable across graph reconstructions: the
 /// n-th task on a given (rank, gpu, lane) processor.
 using LaneKey = std::tuple<std::int32_t, bool, std::int64_t, std::size_t>;
@@ -48,7 +59,7 @@ inline std::map<core::TaskId, LaneKey> lane_keys(
     const core::ExecutionGraph& g) {
   std::map<std::tuple<std::int32_t, bool, std::int64_t>, std::size_t> counts;
   std::map<core::TaskId, LaneKey> out;
-  for (const core::Task& t : g.tasks()) {
+  for (const core::Task& t : task_views(g)) {
     auto lane = std::make_tuple(t.processor.rank, t.processor.gpu,
                                 t.processor.lane);
     out[t.id] = std::tuple_cat(lane, std::make_tuple(counts[lane]++));

@@ -287,7 +287,7 @@ TEST(GraphBuilder, EveryRankHasExpectedLanes) {
   auto job = build_tiny(2, 2);
   std::map<std::int32_t, std::set<std::int64_t>> streams;
   std::map<std::int32_t, std::set<std::int64_t>> threads;
-  for (const core::Task& t : job.graph.tasks()) {
+  for (const core::Task& t : testutil::task_views(job.graph)) {
     (t.is_gpu() ? streams : threads)[t.processor.rank].insert(
         t.processor.lane);
   }
@@ -319,7 +319,7 @@ TEST(GraphBuilder, ContainsAllDependencyClasses) {
 TEST(GraphBuilder, EveryKernelHasExactlyOneLaunch) {
   auto job = build_tiny();
   std::map<std::pair<std::int32_t, std::int64_t>, int> launches, kernels;
-  for (const core::Task& t : job.graph.tasks()) {
+  for (const core::Task& t : testutil::task_views(job.graph)) {
     if (t.is_gpu()) {
       ++kernels[{t.processor.rank, t.event.correlation}];
     } else if (trace::launches_device_work(t.cuda_api())) {
@@ -336,7 +336,7 @@ TEST(GraphBuilder, LayerCoverageIsComplete) {
   // Each of the 8 layers must appear (forward) exactly mbs times per tp
   // rank of its owning stage.
   std::map<std::int32_t, int> fwd_gemm_count;
-  for (const core::Task& t : job.graph.tasks()) {
+  for (const core::Task& t : testutil::task_views(job.graph)) {
     if (t.is_gpu() && t.event.layer >= 0 && t.event.phase == "forward" &&
         t.event.name == "sm90_xmma_gemm_bf16_qkv") {
       ++fwd_gemm_count[t.event.layer];
@@ -353,7 +353,7 @@ TEST(GraphBuilder, TpAllReducePerLayerAndDirection) {
   // tp=2, pp=1: per micro-batch per rank, each layer has 2 forward + 2
   // backward TP all-reduces, plus 1 in the head (loss) block.
   std::map<std::string, int> per_phase;
-  for (const core::Task& t : job.graph.tasks()) {
+  for (const core::Task& t : testutil::task_views(job.graph)) {
     if (t.is_collective_kernel() &&
         t.event.collective.group.rfind("tp_", 0) == 0 &&
         t.processor.rank == 0) {
@@ -370,7 +370,7 @@ TEST(GraphBuilder, CollectiveInstancesAlignAcrossTpRanks) {
   // For every (group, instance) there must be exactly group-internal
   // member count tasks: tp groups have 2, pp pairs have 2, dp groups 1.
   std::map<std::pair<std::string, std::int64_t>, int> members;
-  for (const core::Task& t : job.graph.tasks()) {
+  for (const core::Task& t : testutil::task_views(job.graph)) {
     if (t.is_collective_kernel()) {
       ++members[{t.event.collective.group, t.event.collective.instance}];
     }
@@ -398,7 +398,7 @@ TEST(GraphBuilder, DpBucketCountMatchesBucketing) {
   auto job = builder.build();
   // 4 layers per stage / 2 per bucket = 2 buckets per rank.
   std::map<std::int32_t, int> buckets_per_rank;
-  for (const core::Task& t : job.graph.tasks()) {
+  for (const core::Task& t : testutil::task_views(job.graph)) {
     if (t.is_collective_kernel() &&
         t.event.collective.group.rfind("dp_", 0) == 0) {
       ++buckets_per_rank[t.processor.rank];
@@ -411,7 +411,7 @@ TEST(GraphBuilder, DpBucketCountMatchesBucketing) {
 
 TEST(GraphBuilder, GradientsAllReducedOnlyOnLastMicrobatch) {
   auto job = build_tiny();
-  for (const core::Task& t : job.graph.tasks()) {
+  for (const core::Task& t : testutil::task_views(job.graph)) {
     if (t.is_collective_kernel() &&
         t.event.collective.group.rfind("dp_", 0) == 0) {
       EXPECT_EQ(t.event.block, "dp");
@@ -426,14 +426,14 @@ TEST(GraphBuilder, DeterministicConstruction) {
   ASSERT_EQ(a.graph.size(), b.graph.size());
   ASSERT_EQ(a.graph.edges().size(), b.graph.edges().size());
   for (std::size_t i = 0; i < a.graph.size(); ++i) {
-    EXPECT_EQ(a.graph.tasks()[i].event, b.graph.tasks()[i].event);
+    EXPECT_EQ(a.graph.task(static_cast<core::TaskId>(i)).event, b.graph.task(static_cast<core::TaskId>(i)).event);
   }
 }
 
 TEST(GraphBuilder, HeadAndEmbedOnlyOnBoundaryStages) {
   auto job = build_tiny(2, 2);
   Placement placement(job.config);
-  for (const core::Task& t : job.graph.tasks()) {
+  for (const core::Task& t : testutil::task_views(job.graph)) {
     const std::int32_t stage = placement.coord(t.processor.rank).pp_rank;
     if (t.event.block == "embed") {
       EXPECT_EQ(stage, 0);
