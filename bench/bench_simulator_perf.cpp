@@ -10,7 +10,8 @@
 // artifact (path override: LUMOS_BENCH_IO_OUT) covering the I/O fast-path
 // benches (BM_Write*, BM_ParseFile, BM_MergeIntervals*, BM_Parse, the
 // snapshot A/B: BM_Snapshot*, BM_IngestBaseline, plus the replay A/B:
-// BM_Replay*, BM_ReplayCompiled, BM_CompileProgram), so CI runs leave a
+// BM_Replay*, BM_ReplayCompiled, BM_CompileProgram, and graph construction:
+// BM_GraphBuild, BM_TraceParse, BM_MetaBuild, BM_Rebuild), so CI runs leave a
 // machine-readable record future PRs can diff against.
 #include <benchmark/benchmark.h>
 
@@ -245,7 +246,8 @@ BENCHMARK(BM_FaultedReplay)->Arg(8)->Arg(64)->Unit(benchmark::kMillisecond);
 void BM_MetaBuild(benchmark::State& state) {
   const auto& run = cached_run(static_cast<std::int32_t>(state.range(0)));
   core::ExecutionGraph graph = core::TraceParser().parse(run.trace);
-  const auto columns = std::make_shared<const core::TaskColumns>(graph.columns());
+  const auto columns =
+      std::make_shared<const core::TaskColumns>(graph.columns());
   for (auto _ : state) {
     core::TaskMetaTable meta = core::TaskMetaTable::build(columns);
     benchmark::DoNotOptimize(meta);
@@ -654,7 +656,11 @@ class TrajectoryReporter : public benchmark::ConsoleReporter {
           name.rfind("BM_IngestBaseline", 0) != 0 &&
           name.rfind("BM_Replay", 0) != 0 &&  // interpreter + compiled
           name.rfind("BM_FaultedReplay", 0) != 0 &&
-          name.rfind("BM_CompileProgram", 0) != 0) {
+          name.rfind("BM_CompileProgram", 0) != 0 &&
+          name.rfind("BM_GraphBuild", 0) != 0 &&  // graph construction
+          name.rfind("BM_TraceParse", 0) != 0 &&
+          name.rfind("BM_MetaBuild", 0) != 0 &&
+          name.rfind("BM_Rebuild", 0) != 0) {
         continue;
       }
       json::Object entry;

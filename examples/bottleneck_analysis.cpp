@@ -9,6 +9,7 @@
 // api::Session.
 #include <cstdio>
 #include <fstream>
+#include <string_view>
 
 #include "api/api.h"
 
@@ -42,11 +43,15 @@ int main() {
   const std::size_t n = cp->path.size();
   for (std::size_t i = n > 8 ? n - 8 : 0; i < n; ++i) {
     const auto& entry = cp->path[i];
-    const core::Task& t = graph.task(entry.task);
-    std::printf("  [%7.2f, %7.2f) ms  rank %d  %-10s %s\n",
+    // Processor and name straight from the graph's columns.
+    const core::Processor p = graph.processor(entry.task);
+    const std::string_view name =
+        graph.events().name(static_cast<std::size_t>(entry.task));
+    std::printf("  [%7.2f, %7.2f) ms  rank %d  %-10s %.*s\n",
                 static_cast<double>(entry.start_ns) / 1e6,
-                static_cast<double>(entry.end_ns) / 1e6, t.processor.rank,
-                t.is_gpu() ? "kernel" : "cpu", t.event.name.c_str());
+                static_cast<double>(entry.end_ns) / 1e6, p.rank,
+                p.gpu ? "kernel" : "cpu", static_cast<int>(name.size()),
+                name.data());
   }
 
   // -- breakdown & utilization --------------------------------------------

@@ -25,96 +25,19 @@ ExecutionGraph::ExecutionGraph(std::shared_ptr<trace::TracePools> pools)
     : tasks_(std::make_shared<TaskColumns>(
           TaskColumns{trace::EventTable(std::move(pools)), {}, {}, {}})) {}
 
-ExecutionGraph::ExecutionGraph(const ExecutionGraph& other)
-    : tasks_(other.tasks_), edges_(other.edges_) {
-  // Carry valid caches over (the copy is often simulated immediately);
-  // take the source's locks so a concurrent lazy build on `other` cannot be
-  // observed half-written. Payload and meta table are immutable once built,
-  // so the copy *shares* them; a later mutation of either side clones the
-  // payload first (mutable_tasks).
-  {
-    MutexLock lock(other.adjacency_mutex_);
-    if (other.adjacency_valid_.load(std::memory_order_relaxed)) {
-      succ_offsets_ = other.succ_offsets_;
-      pred_offsets_ = other.pred_offsets_;
-      succ_ids_ = other.succ_ids_;
-      pred_ids_ = other.pred_ids_;
-      adjacency_valid_.store(true, std::memory_order_relaxed);
-    }
-  }
-  {
-    MutexLock lock(other.meta_mutex_);
-    if (other.meta_valid_.load(std::memory_order_relaxed)) {
-      meta_ = other.meta_;
-      meta_valid_.store(true, std::memory_order_relaxed);
-    }
-  }
-}
-
-ExecutionGraph& ExecutionGraph::operator=(const ExecutionGraph& other) {
-  if (this == &other) return *this;
-  ExecutionGraph copy(other);
-  *this = std::move(copy);
-  return *this;
-}
-
-ExecutionGraph::ExecutionGraph(ExecutionGraph&& other) noexcept
-    : tasks_(std::move(other.tasks_)),
-      edges_(std::move(other.edges_)),
-      succ_offsets_(std::move(other.succ_offsets_)),
-      pred_offsets_(std::move(other.pred_offsets_)),
-      succ_ids_(std::move(other.succ_ids_)),
-      pred_ids_(std::move(other.pred_ids_)),
-      meta_(std::move(other.meta_)) {
-  // Moving from a graph that is concurrently read is a caller bug (a move
-  // mutates); no lock taken here.
-  adjacency_valid_.store(
-      other.adjacency_valid_.load(std::memory_order_relaxed),
-      std::memory_order_relaxed);
-  other.adjacency_valid_.store(false, std::memory_order_relaxed);
-  meta_valid_.store(other.meta_valid_.load(std::memory_order_relaxed),
-                    std::memory_order_relaxed);
-  other.meta_valid_.store(false, std::memory_order_relaxed);
-}
-
-ExecutionGraph& ExecutionGraph::operator=(ExecutionGraph&& other) noexcept {
-  if (this == &other) return *this;
-  tasks_ = std::move(other.tasks_);
-  edges_ = std::move(other.edges_);
-  succ_offsets_ = std::move(other.succ_offsets_);
-  pred_offsets_ = std::move(other.pred_offsets_);
-  succ_ids_ = std::move(other.succ_ids_);
-  pred_ids_ = std::move(other.pred_ids_);
-  meta_ = std::move(other.meta_);
-  adjacency_valid_.store(
-      other.adjacency_valid_.load(std::memory_order_relaxed),
-      std::memory_order_relaxed);
-  other.adjacency_valid_.store(false, std::memory_order_relaxed);
-  meta_valid_.store(other.meta_valid_.load(std::memory_order_relaxed),
-                    std::memory_order_relaxed);
-  other.meta_valid_.store(false, std::memory_order_relaxed);
-  return *this;
-}
-
 const TaskColumns& ExecutionGraph::columns() const {
   static const TaskColumns kMovedFrom{};
   return tasks_ ? *tasks_ : kMovedFrom;
 }
 
 TaskColumns& ExecutionGraph::mutable_tasks() {
-  // The meta table views the payload (and keeps it alive), so it is dropped
-  // first; a payload still shared after that belongs to a copy, too.
-  if (meta_valid_.load(std::memory_order_relaxed)) {
-    MutexLock lock(meta_mutex_);
-    meta_.reset();
-    meta_valid_.store(false, std::memory_order_relaxed);
-  }
+  if (meta_.built()) meta_.reset();
+  if (adjacency_.built()) adjacency_.reset();
   if (!tasks_) {
     tasks_ = std::make_shared<TaskColumns>();
   } else if (tasks_.use_count() > 1) {
     tasks_ = std::make_shared<TaskColumns>(*tasks_);
   }
-  adjacency_valid_.store(false, std::memory_order_relaxed);
   return *tasks_;
 }
 
@@ -184,78 +107,66 @@ void ExecutionGraph::reject_edge(TaskId src, TaskId dst) {
   throw std::invalid_argument("ExecutionGraph: edge references invalid task");
 }
 
-void ExecutionGraph::build_adjacency() const {
-  const std::size_t n = size();
-  succ_offsets_.assign(n + 1, 0);
-  pred_offsets_.assign(n + 1, 0);
-  for (const Edge& e : edges_) {
-    ++succ_offsets_[static_cast<std::size_t>(e.src) + 1];
-    ++pred_offsets_[static_cast<std::size_t>(e.dst) + 1];
-  }
-  for (std::size_t i = 1; i <= n; ++i) {
-    succ_offsets_[i] += succ_offsets_[i - 1];
-    pred_offsets_[i] += pred_offsets_[i - 1];
-  }
-  // Fill with each node's offset as its cursor; afterwards offset[i] holds
-  // the old offset[i + 1], so one shift restores the index.
-  succ_ids_.resize(edges_.size());
-  pred_ids_.resize(edges_.size());
-  for (const Edge& e : edges_) {
-    succ_ids_[static_cast<std::size_t>(
-        succ_offsets_[static_cast<std::size_t>(e.src)]++)] = e.dst;
-    pred_ids_[static_cast<std::size_t>(
-        pred_offsets_[static_cast<std::size_t>(e.dst)]++)] = e.src;
-  }
-  for (std::size_t i = n; i > 0; --i) {
-    succ_offsets_[i] = succ_offsets_[i - 1];
-    pred_offsets_[i] = pred_offsets_[i - 1];
-  }
-  succ_offsets_[0] = 0;
-  pred_offsets_[0] = 0;
-}
-
-void ExecutionGraph::ensure_adjacency() const {
-  // Double-checked: concurrent readers of a frozen graph (Sweep workers
-  // sharing one baseline) may race to the first successors() call; exactly
-  // one builds, the rest wait, and the release store publishes the index.
-  if (adjacency_valid_.load(std::memory_order_acquire)) return;
-  MutexLock lock(adjacency_mutex_);
-  if (adjacency_valid_.load(std::memory_order_relaxed)) return;
-  build_adjacency();
-  adjacency_valid_.store(true, std::memory_order_release);
-}
-
-void ExecutionGraph::ensure_meta() const {
-  if (meta_valid_.load(std::memory_order_acquire)) return;
-  MutexLock lock(meta_mutex_);
-  if (meta_valid_.load(std::memory_order_relaxed)) return;
-  meta_ = std::make_shared<const TaskMetaTable>(TaskMetaTable::build(
-      tasks_ ? tasks_ : std::make_shared<TaskColumns>()));
-  meta_valid_.store(true, std::memory_order_release);
+const ExecutionGraph::Adjacency& ExecutionGraph::adjacency() const {
+  // Concurrent readers of a frozen graph (Sweep workers sharing one
+  // baseline) may race to the first successors() call; exactly one builds.
+  return adjacency_.get([this] {
+    const std::size_t n = size();
+    Adjacency a;
+    a.succ_offsets.assign(n + 1, 0);
+    a.pred_offsets.assign(n + 1, 0);
+    for (const Edge& e : edges_) {
+      ++a.succ_offsets[static_cast<std::size_t>(e.src) + 1];
+      ++a.pred_offsets[static_cast<std::size_t>(e.dst) + 1];
+    }
+    for (std::size_t i = 1; i <= n; ++i) {
+      a.succ_offsets[i] += a.succ_offsets[i - 1];
+      a.pred_offsets[i] += a.pred_offsets[i - 1];
+    }
+    // Fill with each node's offset as its cursor; afterwards offset[i]
+    // holds the old offset[i + 1], so one shift restores the index.
+    a.succ_ids.resize(edges_.size());
+    a.pred_ids.resize(edges_.size());
+    for (const Edge& e : edges_) {
+      a.succ_ids[static_cast<std::size_t>(
+          a.succ_offsets[static_cast<std::size_t>(e.src)]++)] = e.dst;
+      a.pred_ids[static_cast<std::size_t>(
+          a.pred_offsets[static_cast<std::size_t>(e.dst)]++)] = e.src;
+    }
+    for (std::size_t i = n; i > 0; --i) {
+      a.succ_offsets[i] = a.succ_offsets[i - 1];
+      a.pred_offsets[i] = a.pred_offsets[i - 1];
+    }
+    a.succ_offsets[0] = 0;
+    a.pred_offsets[0] = 0;
+    return a;
+  });
 }
 
 const TaskMetaTable& ExecutionGraph::meta() const {
-  ensure_meta();
-  return *meta_;
+  return meta_.get([this] {
+    return TaskMetaTable::build(tasks_ ? tasks_
+                                       : std::make_shared<TaskColumns>());
+  });
 }
 
 void ExecutionGraph::finalize() {
-  ensure_meta();
-  ensure_adjacency();
+  meta();
+  adjacency();
 }
 
 std::span<const TaskId> ExecutionGraph::successors(TaskId id) const {
-  ensure_adjacency();
+  const Adjacency& a = adjacency();
   const auto i = static_cast<std::size_t>(id);
-  return {succ_ids_.data() + succ_offsets_[i],
-          static_cast<std::size_t>(succ_offsets_[i + 1] - succ_offsets_[i])};
+  return {a.succ_ids.data() + a.succ_offsets[i],
+          static_cast<std::size_t>(a.succ_offsets[i + 1] - a.succ_offsets[i])};
 }
 
 std::span<const TaskId> ExecutionGraph::predecessors(TaskId id) const {
-  ensure_adjacency();
+  const Adjacency& a = adjacency();
   const auto i = static_cast<std::size_t>(id);
-  return {pred_ids_.data() + pred_offsets_[i],
-          static_cast<std::size_t>(pred_offsets_[i + 1] - pred_offsets_[i])};
+  return {a.pred_ids.data() + a.pred_offsets[i],
+          static_cast<std::size_t>(a.pred_offsets[i + 1] - a.pred_offsets[i])};
 }
 
 std::vector<std::int32_t> ExecutionGraph::in_degrees() const {
@@ -318,15 +229,8 @@ ExecutionGraph ExecutionGraph::with_edges(std::vector<Edge> edges) const {
   out.edges_ = std::move(edges);
   // Tasks are identical, so the derived graph shares this one's meta table
   // (building it here if needed keeps ablation replays off the lazy path).
-  ensure_meta();
-  {
-    // `out` is local, so its lock is uncontended — taken anyway so the
-    // analysis can check the cross-object copy instead of being escaped.
-    MutexLock out_lock(out.meta_mutex_);
-    MutexLock lock(meta_mutex_);
-    out.meta_ = meta_;
-  }
-  out.meta_valid_.store(true, std::memory_order_relaxed);
+  meta();
+  out.meta_ = meta_;
   return out;
 }
 

@@ -36,8 +36,7 @@
 #include "core/task.h"
 #include "trace/event_table.h"
 #include "core/task_meta.h"
-#include "support/mutex.h"
-#include "support/thread_annotations.h"
+#include "support/shared_cache.h"
 
 namespace lumos::core {
 
@@ -101,18 +100,6 @@ class ExecutionGraph {
   /// `pools` — TraceParser passes the trace's pools so trace ids == graph
   /// ids and nothing is re-interned.
   explicit ExecutionGraph(std::shared_ptr<trace::TracePools> pools);
-  // The caches hold mutexes/atomics, so copies and moves are spelled out:
-  // the payload is shared (copy) or transferred (move); valid caches carry
-  // over.
-  ExecutionGraph(const ExecutionGraph& other);
-  ExecutionGraph& operator=(const ExecutionGraph& other);
-  ExecutionGraph(ExecutionGraph&& other) noexcept;
-  /// Analysis escape: a move writes every cache member of both sides
-  /// without locks — moving a graph that is concurrently read is a caller
-  /// bug by contract (a move mutates), so there is no discipline here for
-  /// the analysis to check.
-  ExecutionGraph& operator=(ExecutionGraph&& other) noexcept
-      LUMOS_NO_THREAD_SAFETY_ANALYSIS;
 
   // -- building (single-threaded; each append assigns the next id) ---------
   /// Convenience for tests and hand-built graphs: interns `task.event`'s
@@ -149,7 +136,7 @@ class ExecutionGraph {
       reject_edge(src, dst);
     }
     edges_.push_back({src, dst, type});
-    adjacency_valid_.store(false, std::memory_order_relaxed);
+    if (adjacency_.built()) adjacency_.reset();
   }
 
   // -- reading --------------------------------------------------------------
@@ -176,12 +163,7 @@ class ExecutionGraph {
   /// names/ops/groups, CudaApi, durations, rendezvous groups. Built lazily
   /// on first use (thread-safe); producers call finalize() to build it
   /// eagerly at the build/parse boundary. Valid until the next mutation.
-  ///
-  /// Analysis escape: the lock-free read of meta_ is sound because
-  /// ensure_meta()'s acquire-load of meta_valid_ pairs with the builder's
-  /// release-store, and the table is immutable from publication until the
-  /// next (single-threaded, documented) mutation.
-  const TaskMetaTable& meta() const LUMOS_NO_THREAD_SAFETY_ANALYSIS;
+  const TaskMetaTable& meta() const;
 
   /// Eagerly builds the derived indexes (meta table + adjacency). Producers
   /// call this once a graph is fully built, so all classification happens
@@ -191,15 +173,8 @@ class ExecutionGraph {
 
   /// Successor task ids of `id` (fixed edges only). Valid until the next
   /// mutation; builds the adjacency index lazily.
-  ///
-  /// Analysis escape (both directions): the CSR vectors are read without
-  /// adjacency_mutex_ only after ensure_adjacency()'s acquire-load of
-  /// adjacency_valid_ observed the builder's release-store; the index is
-  /// immutable until the next single-threaded mutation invalidates it.
-  std::span<const TaskId> successors(TaskId id) const
-      LUMOS_NO_THREAD_SAFETY_ANALYSIS;
-  std::span<const TaskId> predecessors(TaskId id) const
-      LUMOS_NO_THREAD_SAFETY_ANALYSIS;
+  std::span<const TaskId> successors(TaskId id) const;
+  std::span<const TaskId> predecessors(TaskId id) const;
 
   /// Number of fixed in-edges per task.
   std::vector<std::int32_t> in_degrees() const;
@@ -228,42 +203,26 @@ class ExecutionGraph {
  private:
   friend struct lumos::snapshot::Access;  // installs payload + meta columns
 
-  void build_adjacency() const LUMOS_REQUIRES(adjacency_mutex_);
-  /// Builds the adjacency index if missing. Safe to race from const
-  /// accessors: double-checked on `adjacency_valid_` under `adjacency_mutex_`.
-  void ensure_adjacency() const LUMOS_EXCLUDES(adjacency_mutex_);
-  /// Builds the meta table if missing; same double-checked discipline on
-  /// `meta_valid_` under `meta_mutex_`.
-  void ensure_meta() const LUMOS_EXCLUDES(meta_mutex_);
+  /// CSR successor / predecessor lists over the fixed edges.
+  struct Adjacency {
+    std::vector<std::int32_t> succ_offsets, pred_offsets;
+    std::vector<TaskId> succ_ids, pred_ids;
+  };
+  const Adjacency& adjacency() const;
   [[noreturn]] static void reject_edge(TaskId src, TaskId dst);
-  /// Called by every mutator: the payload is about to change, so a payload
-  /// still shared with a copy is cloned first, and the derived indexes are
-  /// dropped.
+  /// Called by every payload mutator: a payload still shared with a copy is
+  /// cloned first, and the derived indexes are dropped (the meta table
+  /// views the payload, so it goes before the sharing check).
   TaskColumns& mutable_tasks();
 
   // Task payload, null only in a moved-from graph. Shared (copy-on-write)
   // with copies and with_edges derivations; immutable once published.
   std::shared_ptr<TaskColumns> tasks_;
   std::vector<Edge> edges_;
-
-  // Lazily built CSR adjacency (mutable cache). `adjacency_valid_` is an
-  // acquire/release flag: readers that observe `true` see the fully built
-  // index; builders publish under `adjacency_mutex_`.
-  mutable std::atomic<bool> adjacency_valid_{false};
-  mutable Mutex adjacency_mutex_;
-  mutable std::vector<std::int32_t> succ_offsets_
-      LUMOS_GUARDED_BY(adjacency_mutex_);
-  mutable std::vector<std::int32_t> pred_offsets_
-      LUMOS_GUARDED_BY(adjacency_mutex_);
-  mutable std::vector<TaskId> succ_ids_ LUMOS_GUARDED_BY(adjacency_mutex_);
-  mutable std::vector<TaskId> pred_ids_ LUMOS_GUARDED_BY(adjacency_mutex_);
-
-  // Lazily built columnar metadata (mutable cache, same discipline). Held
-  // behind a shared_ptr so copies / without_edges share the immutable table.
-  mutable std::atomic<bool> meta_valid_{false};
-  mutable Mutex meta_mutex_;
-  mutable std::shared_ptr<const TaskMetaTable> meta_
-      LUMOS_GUARDED_BY(meta_mutex_);
+  // Derived indexes, built lazily (double-checked, thread-safe) and shared
+  // by copies; with_edges derivations share the meta table.
+  SharedCache<Adjacency> adjacency_;
+  SharedCache<TaskMetaTable> meta_;
 };
 
 }  // namespace lumos::core

@@ -69,13 +69,14 @@ void TraceParser::parse_rank_into(const trace::RankTrace& trace,
     if (t.category(i) == trace::EventCategory::UserAnnotation) continue;
     ordered.push_back(static_cast<std::uint32_t>(i));
   }
-  std::stable_sort(ordered.begin(), ordered.end(),
-                   [&t](std::uint32_t a, std::uint32_t b) {
-                     if (t.ts_ns(a) != t.ts_ns(b)) {
-                       return t.ts_ns(a) < t.ts_ns(b);
-                     }
-                     return t.tid(a) < t.tid(b);
-                   });
+  auto by_time = [&t](std::uint32_t a, std::uint32_t b) {
+    if (t.ts_ns(a) != t.ts_ns(b)) return t.ts_ns(a) < t.ts_ns(b);
+    return t.tid(a) < t.tid(b);
+  };
+  // Traces usually arrive in canonical (ts, tid) order already.
+  if (!std::is_sorted(ordered.begin(), ordered.end(), by_time)) {
+    std::stable_sort(ordered.begin(), ordered.end(), by_time);
+  }
 
   const std::size_t n = ordered.size();
   const auto first = static_cast<TaskId>(graph.size());

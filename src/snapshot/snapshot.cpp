@@ -15,7 +15,6 @@
 #include "io/column.h"
 #include "io/fnv.h"
 #include "io/mapped_file.h"
-#include "support/thread_annotations.h"
 
 namespace lumos::snapshot {
 
@@ -344,14 +343,9 @@ struct Access {
                             core::TaskColumns tasks) {
     g.tasks_ = std::make_shared<core::TaskColumns>(std::move(tasks));
   }
-  /// Analysis escape: the loader owns `g` exclusively — it is a fresh
-  /// graph still being assembled, unpublished to any other thread — so the
-  /// cache members are written without their mutexes.
   static void install_meta(core::ExecutionGraph& g,
-                           std::shared_ptr<const core::TaskMetaTable> meta)
-      LUMOS_NO_THREAD_SAFETY_ANALYSIS {
-    g.meta_ = std::move(meta);
-    g.meta_valid_.store(true, std::memory_order_relaxed);
+                           std::shared_ptr<const core::TaskMetaTable> meta) {
+    g.meta_.set(std::move(meta));
   }
 };
 

@@ -6,7 +6,9 @@
 // parallel identity rests on).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <set>
+#include <thread>
 
 #include "analysis/breakdown.h"
 #include "cluster/ground_truth.h"
@@ -17,6 +19,7 @@
 #include "test_util.h"
 #include "trace_dom.h"
 #include "trace/chrome_trace.h"
+#include "trace/content_hash.h"
 #include "trace/string_pool.h"
 
 namespace lumos {
@@ -367,6 +370,34 @@ TEST_F(GoldenReplay, WithoutEdgesSharesMetaAndStaysConsistent) {
   }
   const SimResult r = core::replay(ablated);
   EXPECT_EQ(r.executed, ablated.size());
+}
+
+TEST_F(GoldenReplay, TaskViewsAndToTraceAreSafeAcrossThreads) {
+  // Task views and replayed traces are gathers of the graph's columns that
+  // share its pools and intern nothing, so four threads may materialize
+  // them over one frozen graph at once (run under TSan in CI).
+  const ExecutionGraph g = core::TraceParser().parse(run_->trace);
+  const SimResult r = core::replay(g);
+  const std::vector<Task> reference = testutil::task_views(g);
+  const trace::ClusterTrace replayed = r.to_trace(g);
+  EXPECT_EQ(replayed.shared_pools(), g.pools());
+  const std::uint64_t want = trace::content_hash(replayed);
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&] {
+      for (std::size_t i = 0; i < g.size(); ++i) {
+        const Task view = g.task(static_cast<TaskId>(i));
+        if (!(view.processor == reference[i].processor) ||
+            !(view.event == reference[i].event)) {
+          ++mismatches;
+        }
+      }
+      if (trace::content_hash(r.to_trace(g)) != want) ++mismatches;
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 // ---------------------------------------------------------------------------
