@@ -12,6 +12,7 @@
 #include "core/graph_manipulator.h"
 #include "core/trace_parser.h"
 #include "json/json.h"
+#include "support/allocator.h"
 #include "support/mutex.h"
 #include "support/thread_annotations.h"
 #include "trace/chrome_trace.h"
@@ -162,6 +163,7 @@ Status status_from_ingest_error(const trace::IngestError& e) {
 }  // namespace
 
 Result<Session> Session::create(Scenario scenario) {
+  keep_freed_memory_resident();
   Session session(std::move(scenario));
   const Scenario& s = session.base_.scenario;
   if (s.source() == Scenario::Source::kSynthetic) {

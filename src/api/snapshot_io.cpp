@@ -6,6 +6,7 @@
 #include "api/session.h"
 #include "json/json.h"
 #include "snapshot/snapshot.h"
+#include "support/allocator.h"
 #include "trace/content_hash.h"
 
 namespace lumos::api {
@@ -232,6 +233,7 @@ Status Session::save_snapshot(const std::string& path) {
 }
 
 Result<BaselineArtifacts> load_baseline_snapshot(const std::string& path) {
+  keep_freed_memory_resident();
   snapshot::Bundle bundle;
   try {
     bundle = snapshot::load(path);

@@ -116,34 +116,32 @@ FusionResult fuse_elementwise(const ExecutionGraph& graph,
     }
   }
 
-  // Re-targeted edges, minus collapsed intra-run edges and duplicates (the
-  // first occurrence of each (src, dst, type) survives, in edge order).
-  std::vector<Edge> edges;
-  edges.reserve(graph.edges().size());
+  // Re-targeted edges, minus collapsed intra-run edges and duplicates: the
+  // first occurrence of each (src, dst, type) survives, in edge order.
   auto resolve = [&](TaskId id) {
     const TaskId rep = representative[static_cast<std::size_t>(id)];
     return new_id[static_cast<std::size_t>(rep == kInvalidTask ? id : rep)];
   };
+  std::vector<Edge> edges;
   for (const Edge& e : graph.edges()) {
-    const TaskId src = resolve(e.src);
-    const TaskId dst = resolve(e.dst);
-    if (src != dst) edges.push_back({src, dst, e.type});
+    const Edge r{resolve(e.src), resolve(e.dst), e.type};
+    if (r.src != r.dst) edges.push_back(r);
   }
-  std::vector<std::uint32_t> order(edges.size());
-  std::iota(order.begin(), order.end(), 0u);
   auto key = [&edges](std::uint32_t i) {
     return std::tuple(edges[i].src, edges[i].dst, edges[i].type);
   };
+  std::vector<std::uint32_t> order(edges.size());
+  std::iota(order.begin(), order.end(), 0u);
   std::stable_sort(order.begin(), order.end(),
                    [&](std::uint32_t a, std::uint32_t b) {
                      return key(a) < key(b);
                    });
-  std::vector<std::uint8_t> duplicate(edges.size(), 0);
+  std::vector<std::uint8_t> keep(edges.size(), 1);
   for (std::size_t k = 1; k < order.size(); ++k) {
-    if (key(order[k]) == key(order[k - 1])) duplicate[order[k]] = 1;
+    if (key(order[k]) == key(order[k - 1])) keep[order[k]] = 0;
   }
   for (std::size_t i = 0; i < edges.size(); ++i) {
-    if (!duplicate[i]) out.add_edge(edges[i].src, edges[i].dst, edges[i].type);
+    if (keep[i]) out.add_edge(edges[i].src, edges[i].dst, edges[i].type);
   }
   // The fused graph has new ids, durations and names, so it needs its own
   // classification pass before it is simulated.

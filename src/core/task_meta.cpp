@@ -1,7 +1,6 @@
 #include "core/task_meta.h"
 
 #include <algorithm>
-#include <limits>
 #include <map>
 #include <unordered_map>
 #include <utility>
@@ -17,83 +16,44 @@ LaneId LaneTable::id_of(const Processor& p) const {
   return static_cast<LaneId>(*it);
 }
 
-TaskMeta TaskMetaTable::row(TaskId id) const {
-  TaskMeta m;
-  m.category = category(id);
-  m.cuda_api = cuda_api(id);
-  m.lane = lane(id);
-  m.duration_ns = duration_ns(id);
-  m.ts_ns = ts_ns(id);
-  m.name = name(id);
-  m.collective_op = collective_op(id);
-  m.collective_group = collective_group(id);
-  m.collective_instance = collective_instance(id);
-  m.group_index = group_index(id);
-  return m;
-}
-
 namespace {
 
 /// First-appearance lane numbering without hashing: tasks arrive grouped by
-/// rank, so a rank switch scans the (short) rank list and every other task
-/// searches its rank's handful of lanes linearly.
-class LaneNumbering {
- public:
-  explicit LaneNumbering(std::vector<Processor>& lanes) : lanes_(lanes) {}
+/// rank, so each task searches its rank's handful of lanes linearly and a
+/// rank switch scans the short rank list.
+struct LaneNumbering {
+  std::vector<Processor>& lanes;
+  std::vector<std::pair<std::int32_t, std::vector<LaneId>>> ranks;
+  std::size_t current = 0;
 
   LaneId operator()(const Processor& p) {
-    if (current_ < 0 || by_rank_[static_cast<std::size_t>(current_)].first !=
-                            p.rank) {
-      switch_rank(p.rank);
+    if (current >= ranks.size() || ranks[current].first != p.rank) {
+      current = 0;
+      while (current < ranks.size() && ranks[current].first != p.rank) {
+        ++current;
+      }
+      if (current == ranks.size()) ranks.push_back({p.rank, {}});
     }
-    std::vector<LaneId>& rank_lanes =
-        by_rank_[static_cast<std::size_t>(current_)].second;
-    for (const LaneId l : rank_lanes) {
-      const Processor& q = lanes_[static_cast<std::size_t>(l)];
+    std::vector<LaneId>& own = ranks[current].second;
+    for (const LaneId l : own) {
+      const Processor& q = lanes[static_cast<std::size_t>(l)];
       if (q.gpu == p.gpu && q.lane == p.lane) return l;
     }
-    const auto l = static_cast<LaneId>(lanes_.size());
-    lanes_.push_back(p);
-    rank_lanes.push_back(l);
-    return l;
+    own.push_back(static_cast<LaneId>(lanes.size()));
+    lanes.push_back(p);
+    return own.back();
   }
-
- private:
-  void switch_rank(std::int32_t rank) {
-    for (std::size_t r = 0; r < by_rank_.size(); ++r) {
-      if (by_rank_[r].first == rank) {
-        current_ = static_cast<std::int32_t>(r);
-        return;
-      }
-    }
-    current_ = static_cast<std::int32_t>(by_rank_.size());
-    by_rank_.push_back({rank, {}});
-  }
-
-  std::vector<Processor>& lanes_;
-  std::vector<std::pair<std::int32_t, std::vector<LaneId>>> by_rank_;
-  std::int32_t current_ = -1;
 };
 
-/// Key of a coupled rendezvous: (communicator group id, instance).
-struct GroupHash {
-  std::size_t operator()(const std::pair<std::uint32_t, std::int64_t>& k) const {
+/// Hash of an (id, 64-bit value) key: (group id, instance) of a rendezvous,
+/// (rank, CUDA event id) of an EventRecord.
+struct PairHash {
+  template <class A>
+  std::size_t operator()(const std::pair<A, std::int64_t>& k) const {
     return std::hash<std::int64_t>{}(k.second * 0x9E3779B97F4A7C15LL ^
-                                     k.first);
+                                     static_cast<std::int64_t>(k.first));
   }
 };
-
-/// One cudaEventRecord: (rank, CUDA event id, task).
-struct Record {
-  std::int32_t rank;
-  std::int64_t event;
-  TaskId id;
-  auto operator<=>(const Record&) const = default;
-};
-
-}  // namespace
-
-namespace {
 
 /// A meta column viewing `column` of the payload, which it keeps alive.
 template <class T>
@@ -118,12 +78,14 @@ TaskMetaTable TaskMetaTable::build(
   t.dur_ = borrow(e.dur_column(), payload);
   t.ts_ = borrow(e.ts_column(), payload);
   t.name_ = borrow(e.name_column(), payload);
-  std::vector<std::uint8_t> flags(n, 0);
-  std::vector<LaneId> lane(n);
-  std::vector<std::uint32_t> coll_op(n, trace::OpId::kInvalidIndex);
-  std::vector<std::uint32_t> coll_group(n, trace::GroupId::kInvalidIndex);
-  std::vector<std::int64_t> coll_instance(n, -1);
-  std::vector<std::int32_t> group_idx(n, -1);
+  t.flags_.assign(n, 0);
+  t.lane_.resize(n);
+  t.coll_op_.assign(n, trace::OpId::kInvalidIndex);
+  t.coll_group_.assign(n, trace::GroupId::kInvalidIndex);
+  t.coll_instance_.assign(n, -1);
+  t.group_idx_.assign(n, -1);
+  t.sync_lane_.assign(n, kInvalidLane);
+  t.sync_before_.assign(n, kInvalidTask);
 
   // Point-to-point ops by id: a lookup, never an intern (the pools may be
   // shared with a trace other threads are reading).
@@ -131,25 +93,25 @@ TaskMetaTable TaskMetaTable::build(
   const std::uint32_t recv_op = t.pools_->ops.find("recv");
 
   // Pass 1: lanes in first-appearance order, plus per-task classification.
-  LaneNumbering lane_of(t.lanes_.lanes_);
+  LaneNumbering lane_of{t.lanes_.lanes_, {}};
   std::unordered_map<std::pair<std::uint32_t, std::int64_t>, std::int32_t,
-                     GroupHash>
+                     PairHash>
       group_of;
-  std::vector<Record> records;
-  bool any_event_sync = false;
+  std::unordered_map<std::pair<std::int32_t, std::int64_t>, TaskId, PairHash>
+      record_task;
   for (std::size_t i = 0; i < n; ++i) {
     const auto id = static_cast<TaskId>(i);
     const Processor processor = tasks.processor(i);
-    lane[i] = lane_of(processor);
+    t.lane_[i] = lane_of(processor);
     const trace::CudaApi a = e.cuda_api(i);
 
     std::uint8_t f = processor.gpu ? kGpu : 0;
     if (const trace::OpId op = e.collective_op(i); op.valid()) {
       const trace::GroupId group = e.collective_group(i);
       const std::int64_t instance = e.collective_instance(i);
-      coll_op[i] = op.index;
-      coll_group[i] = group.index;
-      coll_instance[i] = instance;
+      t.coll_op_[i] = op.index;
+      t.coll_group_[i] = group.index;
+      t.coll_instance_[i] = instance;
       if (op.index == send_op || op.index == recv_op) f |= kP2p;
       if (processor.gpu) {
         f |= kCollectiveKernel;
@@ -159,25 +121,20 @@ TaskMetaTable TaskMetaTable::build(
               std::make_pair(group.index, instance),
               static_cast<std::int32_t>(t.groups_.size()));
           if (gnew) t.groups_.push_back({group, instance, {}});
-          group_idx[i] = git->second;
+          t.group_idx_[i] = git->second;
           t.groups_[static_cast<std::size_t>(git->second)]
               .members.push_back(id);
         }
       }
     }
-    flags[i] = f;
+    t.flags_[i] = f;
 
     if (a == trace::CudaApi::EventRecord && e.cuda_event(i) >= 0) {
-      records.push_back({processor.rank, e.cuda_event(i), id});
+      // Later re-records of the same event id overwrite earlier ones, the
+      // same way the CUDA runtime does.
+      record_task[{processor.rank, e.cuda_event(i)}] = id;
     }
-    any_event_sync |= a == trace::CudaApi::EventSynchronize;
   }
-  t.flags_ = std::move(flags);
-  t.lane_ = std::move(lane);
-  t.coll_op_ = std::move(coll_op);
-  t.coll_group_ = std::move(coll_group);
-  t.coll_instance_ = std::move(coll_instance);
-  t.group_idx_ = std::move(group_idx);
 
   // Lane lookup index + dense rank numbering (first-appearance order).
   LaneTable& lanes = t.lanes_;
@@ -254,37 +211,26 @@ TaskMetaTable TaskMetaTable::build(
   // StreamSynchronize blocks on the last prior launch to its own (rank,
   // stream); an EventSynchronize blocks on the last prior launch to the
   // stream its (rank-local) EventRecord targeted, bounded by the record's
-  // id; unresolvable targets mean "no runtime blocker". Later re-records
-  // of one event id win, the way the CUDA runtime resolves them: records
-  // sort by (rank, event, id), and a lookup takes the last of its run.
-  if (any_event_sync) std::sort(records.begin(), records.end());
-  std::vector<LaneId> sync_lane(n, kInvalidLane);
-  std::vector<TaskId> sync_before(n, kInvalidTask);
+  // id; unresolvable targets mean "no runtime blocker".
   for (std::size_t i = 0; i < n; ++i) {
     switch (e.cuda_api(i)) {
       case trace::CudaApi::StreamSynchronize:
-        sync_lane[i] = lanes.id_of({tasks.rank[i], true, e.stream(i)});
-        sync_before[i] = static_cast<TaskId>(i);
+        t.sync_lane_[i] = lanes.id_of({tasks.rank[i], true, e.stream(i)});
+        t.sync_before_[i] = static_cast<TaskId>(i);
         break;
       case trace::CudaApi::EventSynchronize: {
-        const Record key{tasks.rank[i], e.cuda_event(i),
-                         std::numeric_limits<TaskId>::max()};
-        auto it = std::upper_bound(records.begin(), records.end(), key);
-        if (it == records.begin()) break;
-        --it;
-        if (it->rank != key.rank || it->event != key.event) break;
-        const auto record = static_cast<std::size_t>(it->id);
-        sync_lane[i] =
+        auto it = record_task.find({tasks.rank[i], e.cuda_event(i)});
+        if (it == record_task.end()) break;
+        const auto record = static_cast<std::size_t>(it->second);
+        t.sync_lane_[i] =
             lanes.id_of({tasks.rank[record], true, e.stream(record)});
-        sync_before[i] = it->id;
+        t.sync_before_[i] = it->second;
         break;
       }
       default:
         break;
     }
   }
-  t.sync_lane_ = std::move(sync_lane);
-  t.sync_before_ = std::move(sync_before);
   return t;
 }
 

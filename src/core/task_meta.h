@@ -107,22 +107,6 @@ struct CollectiveGroupMeta {
   std::vector<TaskId> members;
 };
 
-/// Flat per-task metadata row — every field the simulate/analyze hot paths
-/// read, gathered from the structure-of-arrays columns. Plain POD: no
-/// strings, no optionals, no pointers.
-struct TaskMeta {
-  trace::EventCategory category = trace::EventCategory::CpuOp;
-  trace::CudaApi cuda_api = trace::CudaApi::None;
-  LaneId lane = kInvalidLane;
-  std::int64_t duration_ns = 0;
-  std::int64_t ts_ns = 0;            ///< profiled start (queue tie-break key)
-  trace::NameId name;
-  trace::OpId collective_op;         ///< invalid for non-collectives
-  trace::GroupId collective_group;   ///< invalid for non-collectives
-  std::int64_t collective_instance = -1;
-  std::int32_t group_index = -1;     ///< rendezvous group, -1 when uncoupled
-};
-
 class TaskMetaTable {
  public:
   /// Classifies every task once, from id columns only: no string is
@@ -187,8 +171,6 @@ class TaskMetaTable {
   /// StreamSynchronize, the EventRecord's id for EventSynchronize.
   TaskId sync_before(TaskId id) const { return sync_before_[idx(id)]; }
 
-  /// Gathers one row (tests, debugging; hot paths read columns directly).
-  TaskMeta row(TaskId id) const;
 
   // -- derived tables --------------------------------------------------------
   const LaneTable& lanes() const { return lanes_; }

@@ -6,46 +6,12 @@
 
 namespace lumos::core {
 
-namespace {
-
 using workload::Block;
 using workload::kBlockNames;
 using workload::kOpNames;
 using workload::kPhaseNames;
 using workload::OpName;
 using workload::Phase;
-
-/// One block instance of one rank: the scope within-block ordinals count
-/// in, reconstructing the builder's ordinals during extraction.
-struct InstanceKey {
-  std::int32_t rank;
-  std::int32_t layer;
-  std::int32_t microbatch;
-  std::uint32_t block_phase;
-
-  bool operator==(const InstanceKey&) const = default;
-};
-
-struct InstanceHash {
-  std::size_t operator()(const InstanceKey& k) const {
-    std::uint64_t h = static_cast<std::uint32_t>(k.rank);
-    h = h * 0x9E3779B97F4A7C15ULL + static_cast<std::uint32_t>(k.layer);
-    h = h * 0x9E3779B97F4A7C15ULL + static_cast<std::uint32_t>(k.microbatch);
-    h = h * 0x9E3779B97F4A7C15ULL + k.block_phase;
-    return static_cast<std::size_t>(h ^ (h >> 29));
-  }
-};
-
-/// Index of `text` in `names`, -1 when absent.
-template <std::size_t N>
-std::int32_t index_of(const std::array<std::string_view, N>& names,
-                      std::string_view text) {
-  const auto it = std::find(names.begin(), names.end(), text);
-  return it == names.end() ? -1
-                           : static_cast<std::int32_t>(it - names.begin());
-}
-
-}  // namespace
 
 TemplateProvider::TemplateProvider(const ExecutionGraph& profiled,
                                    workload::ModelSpec base_model,
@@ -92,10 +58,14 @@ void TemplateProvider::extract(const ExecutionGraph& profiled) {
   const trace::StringPool& names = profiled.pools()->names;
   std::vector<std::int32_t> op_of(names.size()), block_of(names.size()),
       phase_of(names.size());
+  auto index_of = [](const auto& vocabulary, std::string_view text) {
+    const auto it = std::find(vocabulary.begin(), vocabulary.end(), text);
+    return it == vocabulary.end() ? -1 : static_cast<std::int32_t>(
+                                             it - vocabulary.begin());
+  };
   for (std::uint32_t id = 0; id < names.size(); ++id) {
     const std::string_view text = names.view(id);
-    const std::optional<OpName> op = workload::find_op_name(text);
-    op_of[id] = op ? op->index : -1;
+    op_of[id] = index_of(kOpNames, text);
     block_of[id] = index_of(kBlockNames, text);
     phase_of[id] = index_of(kPhaseNames, text);
   }
@@ -108,18 +78,28 @@ void TemplateProvider::extract(const ExecutionGraph& profiled) {
   kernel_slots_.assign(cpu_slots_.size(), {});
   const TaskColumns& tasks = profiled.columns();
   const trace::EventTable& ev = tasks.events;
-  std::unordered_map<InstanceKey, std::pair<std::int32_t, std::int32_t>,
-                     InstanceHash>
+  // Within-block ordinal counters per block instance of one rank, keyed
+  // by (rank index, block, phase, layer + 1, microbatch + 1) packed into 64
+  // bits; instances outside the builder's small layer/microbatch range are
+  // never looked up and are skipped.
+  std::unordered_map<std::uint64_t, std::pair<std::int32_t, std::int32_t>>
       counters;
   for (std::size_t i = 0; i < tasks.size(); ++i) {
     const std::int32_t block = lookup(block_of, ev.block_id(i));
     const std::int32_t phase = lookup(phase_of, ev.phase_id(i));
-    if (block < 0 || phase < 0) continue;
-    const InstanceKey inst{
-        tasks.rank[i], ev.layer(i), ev.microbatch(i),
-        static_cast<std::uint32_t>(slot_index(static_cast<Block>(block),
-                                              static_cast<Phase>(phase),
-                                              OpName{}))};
+    const auto layer = static_cast<std::uint32_t>(ev.layer(i) + 1);
+    const auto microbatch = static_cast<std::uint32_t>(ev.microbatch(i) + 1);
+    if (block < 0 || phase < 0 || layer >= (1u << 20) ||
+        microbatch >= (1u << 20)) {
+      continue;
+    }
+    const auto rank = static_cast<std::uint64_t>(
+        meta.lanes().rank_index(meta.lane(static_cast<TaskId>(i))));
+    const std::uint64_t inst =
+        rank << 45 |
+        static_cast<std::uint64_t>(block * std::ssize(kPhaseNames) + phase)
+            << 40 |
+        std::uint64_t{layer} << 20 | microbatch;
     auto& [cpu_ordinal, kernel_ordinal] = counters[inst];
     const bool gpu = tasks.gpu[i] != 0;
     const std::int32_t ordinal = gpu ? kernel_ordinal++ : cpu_ordinal++;

@@ -63,13 +63,10 @@ inline constexpr std::array<std::string_view, 62> kOpNames = {
 /// Dense index of one vocabulary name.
 struct OpName {
   std::uint8_t index = 0;
-
   std::string_view text() const { return kOpNames[index]; }
-  bool operator==(const OpName&) const = default;
 };
 
-/// Deliberately undefined and not constexpr: reaching it during constant
-/// evaluation turns an unknown name into a compile error.
+/// Undefined on purpose: reaching it in constant evaluation is an error.
 void name_not_in_builder_vocabulary();
 
 /// Compile-time lookup, `op_name("aten::linear")`: a name outside the
@@ -82,10 +79,6 @@ consteval OpName op_name(std::string_view text) {
   return {};
 }
 
-/// Run-time lookup (template extraction maps each distinct profiled string
-/// once); nullopt outside the vocabulary.
-std::optional<OpName> find_op_name(std::string_view text);
-
 /// Module block an event belongs to (TraceEvent::block).
 enum class Block : std::uint8_t { Sched, Embed, Head, Layer, Dp, Pp, Opt, Norm };
 inline constexpr std::array<std::string_view, 8> kBlockNames = {
@@ -95,13 +88,6 @@ inline constexpr std::array<std::string_view, 8> kBlockNames = {
 enum class Phase : std::uint8_t { Forward, Backward, Optimizer };
 inline constexpr std::array<std::string_view, 3> kPhaseNames = {
     "forward", "backward", "optimizer"};
-
-inline std::string_view to_string(Block b) {
-  return kBlockNames[static_cast<std::size_t>(b)];
-}
-inline std::string_view to_string(Phase p) {
-  return kPhaseNames[static_cast<std::size_t>(p)];
-}
 
 /// Semantic description of a CPU task the builder is about to emit.
 struct CpuOpDesc {
@@ -116,9 +102,9 @@ struct CpuOpDesc {
 /// Cost-relevant payload of a communication kernel.
 struct CollectiveDesc {
   cost::CollectiveKind kind = cost::CollectiveKind::AllReduce;
-  std::int64_t bytes = 0;          ///< payload size per rank
-  std::int32_t group_size = 0;     ///< ranks in the communicator
-  cost::CommPlacement placement;   ///< where the communicator's ranks sit
+  std::int64_t bytes = 0;         ///< payload size per rank
+  std::int32_t group_size = 0;    ///< ranks in the communicator
+  cost::CommPlacement placement;  ///< where the communicator's ranks sit
 };
 
 /// Semantic description of a GPU kernel the builder is about to emit.

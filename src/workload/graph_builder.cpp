@@ -1,19 +1,11 @@
 #include "workload/graph_builder.h"
 
 #include <array>
-#include <charconv>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 namespace lumos::workload {
-
-std::optional<OpName> find_op_name(std::string_view text) {
-  for (std::size_t i = 0; i < kOpNames.size(); ++i) {
-    if (kOpNames[i] == text) return OpName{static_cast<std::uint8_t>(i)};
-  }
-  return std::nullopt;
-}
 
 namespace {
 
@@ -23,45 +15,43 @@ using core::kInvalidTask;
 using core::TaskId;
 using trace::EventCategory;
 using Row = trace::EventTable::Row;
-constexpr std::uint32_t kNoId = trace::NameId::kInvalidIndex;
 
 /// Collective op names as the trace records them (CollectiveInfo::op).
 enum class CommOp : std::uint8_t { AllReduce, Send, Recv };
 constexpr std::array<std::string_view, 3> kCommOpNames = {"allreduce", "send",
                                                           "recv"};
 
-/// The string ids of one build. Every vocabulary string is interned into
-/// the graph's pools on first use and cached by its dense index, so rows
-/// are emitted with ids and no per-task string work.
+/// The string ids of one build: the vocabulary interned into the graph's
+/// pools once, up front, so rows are emitted with ids and no per-task
+/// string work.
 class BuildContext {
  public:
   explicit BuildContext(ExecutionGraph& graph)
       : graph(graph), pools(*graph.pools()) {
-    names_.fill(kNoId);
-    blocks_.fill(kNoId);
-    phases_.fill(kNoId);
-    ops_.fill(kNoId);
     for (std::size_t i = 0; i < kOpNames.size(); ++i) {
+      names_[i] = pools.names.intern(kOpNames[i]);
       apis_[i] = trace::cuda_api_from_name(kOpNames[i]);
+    }
+    for (std::size_t i = 0; i < kBlockNames.size(); ++i) {
+      blocks_[i] = pools.names.intern(kBlockNames[i]);
+    }
+    for (std::size_t i = 0; i < kPhaseNames.size(); ++i) {
+      phases_[i] = pools.names.intern(kPhaseNames[i]);
+    }
+    for (std::size_t i = 0; i < kCommOpNames.size(); ++i) {
+      ops_[i] = pools.ops.intern(kCommOpNames[i]);
     }
   }
 
-  std::uint32_t name(OpName n) {
-    return cached(names_[n.index], pools.names, n.text());
-  }
-  std::uint32_t block(Block b) {
-    return cached(blocks_[static_cast<std::size_t>(b)], pools.names,
-                  to_string(b));
-  }
-  std::uint32_t phase(Phase p) {
-    return cached(phases_[static_cast<std::size_t>(p)], pools.names,
-                  to_string(p));
-  }
-  std::uint32_t op(CommOp o) {
-    const auto i = static_cast<std::size_t>(o);
-    return cached(ops_[i], pools.ops, kCommOpNames[i]);
-  }
+  std::uint32_t name(OpName n) const { return names_[n.index]; }
   trace::CudaApi api(OpName n) const { return apis_[n.index]; }
+  std::uint32_t block(Block b) const {
+    return blocks_[static_cast<std::size_t>(b)];
+  }
+  std::uint32_t phase(Phase p) const {
+    return phases_[static_cast<std::size_t>(p)];
+  }
+  std::uint32_t op(CommOp o) const { return ops_[static_cast<std::size_t>(o)]; }
 
   /// Interns a communicator name assembled from string and integer parts
   /// (once per communicator or transfer, not per task).
@@ -76,15 +66,9 @@ class BuildContext {
   trace::TracePools& pools;
 
  private:
-  static std::uint32_t cached(std::uint32_t& id, trace::StringPool& pool,
-                              std::string_view text) {
-    if (id == kNoId) id = pool.intern(text);
-    return id;
-  }
   static void append(std::string& out, std::string_view s) { out += s; }
   static void append(std::string& out, std::int64_t v) {
-    char buf[24];
-    out.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+    out += std::to_string(v);
   }
 
   std::array<std::uint32_t, kOpNames.size()> names_;
@@ -116,6 +100,8 @@ class RankBuilder {
         rank_(placement.global_rank({tp_rank, options.dp_rank, stage})),
         layers_per_stage_(model.num_layers / config.pp),
         microbatch_slots_(config.microbatches() + 1),
+        tp_group_(ctx.group("tp_pp", stage, "_dp", options.dp_rank)),
+        dp_group_(ctx.group("dp_tp", tp_rank, "_pp", stage)),
         ordinals_(kBlockNames.size() * kPhaseNames.size() *
                       static_cast<std::size_t>(layers_per_stage_ + 1) *
                       static_cast<std::size_t>(microbatch_slots_),
@@ -163,8 +149,6 @@ class RankBuilder {
     layer_ = layer;
     phase_ = phase;
     microbatch_ = microbatch;
-    block_id_ = ctx_.block(block);
-    phase_id_ = ctx_.phase(phase);
     // Layer blocks index stage-local layers; every other block carries -1
     // or a DP bucket index (< layers per stage) in the layer field.
     const std::int32_t layer_slot =
@@ -199,8 +183,8 @@ class RankBuilder {
     r.layer = layer_;
     r.microbatch = microbatch_;
     r.name = ctx_.name(name);
-    r.phase = phase_id_;
-    r.block = block_id_;
+    r.phase = ctx_.phase(phase_);
+    r.block = ctx_.block(block_);
     return r;
   }
 
@@ -340,19 +324,39 @@ class RankBuilder {
   }
   std::int64_t dtype_bytes() const { return 2; }  // BF16 activations
 
-  KernelDesc gemm_desc(OpName name, std::int64_t m, std::int64_t n,
-                       std::int64_t k) const {
+  static KernelDesc gemm(OpName name, std::int64_t m, std::int64_t n,
+                         std::int64_t k) {
     KernelDesc d;
     d.name = name;
     d.gemm = {m, n, k};
     return d;
   }
 
-  KernelDesc elementwise_desc(OpName name, std::int64_t bytes) const {
+  static KernelDesc elementwise(OpName name, std::int64_t bytes) {
     KernelDesc d;
     d.name = name;
     d.elementwise_bytes = bytes;
     return d;
+  }
+
+  KernelDesc attention(OpName name) const {
+    KernelDesc d;
+    d.name = name;
+    d.attn_batch = config_.microbatch_size;
+    d.attn_heads = model_.num_heads / config_.tp;
+    d.attn_seq = model_.seq_len;
+    d.attn_head_dim = model_.head_dim;
+    return d;
+  }
+
+  /// A kernel on the compute stream, launched from `tid`.
+  void compute(std::int32_t tid, KernelDesc desc) {
+    kernel(tid, std::move(desc), lanes::kComputeStream);
+  }
+  /// A framework op on `tid` followed by its compute-stream kernel.
+  void op(std::int32_t tid, OpName name, KernelDesc desc) {
+    cpu(tid, name);
+    compute(tid, std::move(desc));
   }
 
   /// TP all-reduce with full event-sync choreography: the NCCL stream waits
@@ -361,9 +365,6 @@ class RankBuilder {
     if (config_.tp <= 1) return;
     record_wait(tid, lanes::kComputeStream, lanes::kTpStream);
     cpu(tid, op_name("c10d::allreduce_"));
-    if (tp_group_ == kNoId) {
-      tp_group_ = ctx_.group("tp_pp", stage_, "_dp", options_.dp_rank);
-    }
     comm_kernel(tid, op_name("ncclDevKernel_AllReduce_Sum_bf16_RING"),
                 CommOp::AllReduce, tp_group_, tp_instance_++,
                 {cost::CollectiveKind::AllReduce, bytes, config_.tp,
@@ -403,19 +404,15 @@ class RankBuilder {
   void embedding_forward(std::int32_t microbatch) {
     begin_block(Block::Embed, -1, Phase::Forward, microbatch);
     const std::int64_t act_bytes = tokens() * model_.d_model * dtype_bytes();
-    cpu(lanes::kMainThread, op_name("aten::embedding"));
-    kernel(lanes::kMainThread,
-           elementwise_desc(op_name("embedding_dense_kernel"), 2 * act_bytes),
-           lanes::kComputeStream);
+    op(lanes::kMainThread, op_name("aten::embedding"),
+       elementwise(op_name("embedding_dense_kernel"), 2 * act_bytes));
   }
 
   void embedding_backward() {
     begin_block(Block::Embed, -1, Phase::Backward, microbatch_);
     const std::int64_t act_bytes = tokens() * model_.d_model * dtype_bytes();
-    cpu(lanes::kAutogradThread, op_name("autograd::EmbeddingBackward0"));
-    kernel(lanes::kAutogradThread,
-           elementwise_desc(op_name("embedding_backward_kernel"), 3 * act_bytes),
-           lanes::kComputeStream);
+    op(lanes::kAutogradThread, op_name("autograd::EmbeddingBackward0"),
+       elementwise(op_name("embedding_backward_kernel"), 3 * act_bytes));
   }
 
   void head_forward(std::int32_t microbatch) {
@@ -423,22 +420,16 @@ class RankBuilder {
     const std::int64_t T = tokens();
     const std::int64_t d = model_.d_model;
     const std::int64_t vshard = model_.vocab_size / config_.tp;
-    cpu(lanes::kMainThread, op_name("aten::native_layer_norm"));
-    kernel(lanes::kMainThread,
-           elementwise_desc(op_name("layer_norm_fwd_kernel"),
-                            3 * T * d * dtype_bytes()),
-           lanes::kComputeStream);
-    cpu(lanes::kMainThread, op_name("aten::linear"));
-    kernel(lanes::kMainThread,
-           gemm_desc(op_name("sm90_xmma_gemm_bf16_lm_head"), T, vshard, d),
-           lanes::kComputeStream);
-    cpu(lanes::kMainThread, op_name("aten::log_softmax"));
-    kernel(lanes::kMainThread,
-           elementwise_desc(op_name("vocab_parallel_cross_entropy_kernel"),
-                            3 * T * vshard * dtype_bytes()),
-           lanes::kComputeStream);
+    const std::int32_t tid = lanes::kMainThread;
+    op(tid, op_name("aten::native_layer_norm"),
+       elementwise(op_name("layer_norm_fwd_kernel"), 3 * T * d * dtype_bytes()));
+    op(tid, op_name("aten::linear"),
+       gemm(op_name("sm90_xmma_gemm_bf16_lm_head"), T, vshard, d));
+    op(tid, op_name("aten::log_softmax"),
+       elementwise(op_name("vocab_parallel_cross_entropy_kernel"),
+                   3 * T * vshard * dtype_bytes()));
     // Vocab-parallel loss reduction (small TP all-reduce of per-token loss).
-    tp_allreduce(lanes::kMainThread, T * 4);
+    tp_allreduce(tid, T * 4);
   }
 
   void head_backward() {
@@ -446,23 +437,16 @@ class RankBuilder {
     const std::int64_t T = tokens();
     const std::int64_t d = model_.d_model;
     const std::int64_t vshard = model_.vocab_size / config_.tp;
-    cpu(lanes::kAutogradThread, op_name("autograd::NllLossBackward0"));
-    kernel(lanes::kAutogradThread,
-           elementwise_desc(op_name("cross_entropy_backward_kernel"),
-                            3 * T * vshard * dtype_bytes()),
-           lanes::kComputeStream);
-    cpu(lanes::kAutogradThread, op_name("autograd::MmBackward0"));
-    kernel(lanes::kAutogradThread,
-           gemm_desc(op_name("sm90_xmma_gemm_bf16_lm_head_dgrad"), T, d, vshard),
-           lanes::kComputeStream);
-    kernel(lanes::kAutogradThread,
-           gemm_desc(op_name("sm90_xmma_gemm_bf16_lm_head_wgrad"), d, vshard, T),
-           lanes::kComputeStream);
-    cpu(lanes::kAutogradThread, op_name("autograd::NativeLayerNormBackward0"));
-    kernel(lanes::kAutogradThread,
-           elementwise_desc(op_name("layer_norm_bwd_kernel"),
-                            4 * T * d * dtype_bytes()),
-           lanes::kComputeStream);
+    const std::int32_t tid = lanes::kAutogradThread;
+    op(tid, op_name("autograd::NllLossBackward0"),
+       elementwise(op_name("cross_entropy_backward_kernel"),
+                   3 * T * vshard * dtype_bytes()));
+    op(tid, op_name("autograd::MmBackward0"),
+       gemm(op_name("sm90_xmma_gemm_bf16_lm_head_dgrad"), T, d, vshard));
+    compute(tid, gemm(op_name("sm90_xmma_gemm_bf16_lm_head_wgrad"), d, vshard,
+                      T));
+    op(tid, op_name("autograd::NativeLayerNormBackward0"),
+       elementwise(op_name("layer_norm_bwd_kernel"), 4 * T * d * dtype_bytes()));
   }
 
   void forward_layer(std::int32_t layer, std::int32_t microbatch) {
@@ -474,48 +458,30 @@ class RankBuilder {
     const std::int64_t act = T * d * dtype_bytes();
     const std::int32_t tid = lanes::kMainThread;
 
-    cpu(tid, op_name("aten::native_layer_norm"));
-    kernel(tid, elementwise_desc(op_name("layer_norm_fwd_kernel"), 3 * act),
-           lanes::kComputeStream);
-    cpu(tid, op_name("aten::linear"));
-    kernel(tid, gemm_desc(op_name("sm90_xmma_gemm_bf16_qkv"), T, 3 * d_shard, d),
-           lanes::kComputeStream);
-    cpu(tid, op_name("aten::scaled_dot_product_attention"));
-    {
-      KernelDesc a;
-      a.name = op_name("flash_fwd_kernel");
-      a.attn_batch = config_.microbatch_size;
-      a.attn_heads = model_.num_heads / config_.tp;
-      a.attn_seq = model_.seq_len;
-      a.attn_head_dim = model_.head_dim;
-      kernel(tid, std::move(a), lanes::kComputeStream);
-    }
-    cpu(tid, op_name("aten::linear"));
-    kernel(tid, gemm_desc(op_name("sm90_xmma_gemm_bf16_attn_proj"), T, d, d_shard),
-           lanes::kComputeStream);
+    op(tid, op_name("aten::native_layer_norm"),
+       elementwise(op_name("layer_norm_fwd_kernel"), 3 * act));
+    op(tid, op_name("aten::linear"),
+       gemm(op_name("sm90_xmma_gemm_bf16_qkv"), T, 3 * d_shard, d));
+    op(tid, op_name("aten::scaled_dot_product_attention"),
+       attention(op_name("flash_fwd_kernel")));
+    op(tid, op_name("aten::linear"),
+       gemm(op_name("sm90_xmma_gemm_bf16_attn_proj"), T, d, d_shard));
     tp_allreduce(tid, act);
-    cpu(tid, op_name("aten::add_"));
-    kernel(tid, elementwise_desc(op_name("vectorized_elementwise_kernel"), 3 * act),
-           lanes::kComputeStream);
+    op(tid, op_name("aten::add_"),
+       elementwise(op_name("vectorized_elementwise_kernel"), 3 * act));
 
-    cpu(tid, op_name("aten::native_layer_norm"));
-    kernel(tid, elementwise_desc(op_name("layer_norm_fwd_kernel"), 3 * act),
-           lanes::kComputeStream);
-    cpu(tid, op_name("aten::linear"));
-    kernel(tid, gemm_desc(op_name("sm90_xmma_gemm_bf16_fc1"), T, ff_shard, d),
-           lanes::kComputeStream);
-    cpu(tid, op_name("aten::gelu"));
-    kernel(tid,
-           elementwise_desc(op_name("gelu_forward_kernel"),
-                            2 * T * ff_shard * dtype_bytes()),
-           lanes::kComputeStream);
-    cpu(tid, op_name("aten::linear"));
-    kernel(tid, gemm_desc(op_name("sm90_xmma_gemm_bf16_fc2"), T, d, ff_shard),
-           lanes::kComputeStream);
+    op(tid, op_name("aten::native_layer_norm"),
+       elementwise(op_name("layer_norm_fwd_kernel"), 3 * act));
+    op(tid, op_name("aten::linear"),
+       gemm(op_name("sm90_xmma_gemm_bf16_fc1"), T, ff_shard, d));
+    op(tid, op_name("aten::gelu"),
+       elementwise(op_name("gelu_forward_kernel"),
+                   2 * T * ff_shard * dtype_bytes()));
+    op(tid, op_name("aten::linear"),
+       gemm(op_name("sm90_xmma_gemm_bf16_fc2"), T, d, ff_shard));
     tp_allreduce(tid, act);
-    cpu(tid, op_name("aten::add_"));
-    kernel(tid, elementwise_desc(op_name("vectorized_elementwise_kernel"), 3 * act),
-           lanes::kComputeStream);
+    op(tid, op_name("aten::add_"),
+       elementwise(op_name("vectorized_elementwise_kernel"), 3 * act));
   }
 
   void backward_layer(std::int32_t layer, std::int32_t microbatch) {
@@ -527,53 +493,32 @@ class RankBuilder {
     const std::int64_t act = T * d * dtype_bytes();
     const std::int32_t tid = lanes::kAutogradThread;
 
-    cpu(tid, op_name("autograd::AddBackward0"));
-    kernel(tid, elementwise_desc(op_name("vectorized_elementwise_kernel"), 2 * act),
-           lanes::kComputeStream);
-    cpu(tid, op_name("autograd::MmBackward0"));  // fc2
-    kernel(tid, gemm_desc(op_name("sm90_xmma_gemm_bf16_fc2_dgrad"), T, ff_shard, d),
-           lanes::kComputeStream);
-    kernel(tid, gemm_desc(op_name("sm90_xmma_gemm_bf16_fc2_wgrad"), d, ff_shard, T),
-           lanes::kComputeStream);
-    cpu(tid, op_name("autograd::GeluBackward0"));
-    kernel(tid,
-           elementwise_desc(op_name("gelu_backward_kernel"),
-                            3 * T * ff_shard * dtype_bytes()),
-           lanes::kComputeStream);
-    cpu(tid, op_name("autograd::MmBackward0"));  // fc1
-    kernel(tid, gemm_desc(op_name("sm90_xmma_gemm_bf16_fc1_dgrad"), T, d, ff_shard),
-           lanes::kComputeStream);
-    kernel(tid, gemm_desc(op_name("sm90_xmma_gemm_bf16_fc1_wgrad"), d, ff_shard, T),
-           lanes::kComputeStream);
+    op(tid, op_name("autograd::AddBackward0"),
+       elementwise(op_name("vectorized_elementwise_kernel"), 2 * act));
+    op(tid, op_name("autograd::MmBackward0"),  // fc2
+       gemm(op_name("sm90_xmma_gemm_bf16_fc2_dgrad"), T, ff_shard, d));
+    compute(tid, gemm(op_name("sm90_xmma_gemm_bf16_fc2_wgrad"), d, ff_shard, T));
+    op(tid, op_name("autograd::GeluBackward0"),
+       elementwise(op_name("gelu_backward_kernel"),
+                   3 * T * ff_shard * dtype_bytes()));
+    op(tid, op_name("autograd::MmBackward0"),  // fc1
+       gemm(op_name("sm90_xmma_gemm_bf16_fc1_dgrad"), T, d, ff_shard));
+    compute(tid, gemm(op_name("sm90_xmma_gemm_bf16_fc1_wgrad"), d, ff_shard, T));
     tp_allreduce(tid, act);
-    cpu(tid, op_name("autograd::NativeLayerNormBackward0"));
-    kernel(tid, elementwise_desc(op_name("layer_norm_bwd_kernel"), 4 * act),
-           lanes::kComputeStream);
-    cpu(tid, op_name("autograd::FlashAttentionBackward0"));
-    {
-      KernelDesc a;
-      a.name = op_name("flash_bwd_kernel");
-      a.attn_batch = config_.microbatch_size;
-      a.attn_heads = model_.num_heads / config_.tp;
-      a.attn_seq = model_.seq_len;
-      a.attn_head_dim = model_.head_dim;
-      kernel(tid, std::move(a), lanes::kComputeStream);
-    }
-    cpu(tid, op_name("autograd::MmBackward0"));  // attn out projection
-    kernel(tid, gemm_desc(op_name("sm90_xmma_gemm_bf16_attn_dgrad"), T, d_shard, d),
-           lanes::kComputeStream);
-    kernel(tid, gemm_desc(op_name("sm90_xmma_gemm_bf16_attn_wgrad"), d_shard, d, T),
-           lanes::kComputeStream);
-    cpu(tid, op_name("autograd::MmBackward0"));  // qkv
-    kernel(tid, gemm_desc(op_name("sm90_xmma_gemm_bf16_qkv_dgrad"), T, d, 3 * d_shard),
-           lanes::kComputeStream);
-    kernel(tid,
-           gemm_desc(op_name("sm90_xmma_gemm_bf16_qkv_wgrad"), d, 3 * d_shard, T),
-           lanes::kComputeStream);
+    op(tid, op_name("autograd::NativeLayerNormBackward0"),
+       elementwise(op_name("layer_norm_bwd_kernel"), 4 * act));
+    op(tid, op_name("autograd::FlashAttentionBackward0"),
+       attention(op_name("flash_bwd_kernel")));
+    op(tid, op_name("autograd::MmBackward0"),  // attn out projection
+       gemm(op_name("sm90_xmma_gemm_bf16_attn_dgrad"), T, d_shard, d));
+    compute(tid, gemm(op_name("sm90_xmma_gemm_bf16_attn_wgrad"), d_shard, d, T));
+    op(tid, op_name("autograd::MmBackward0"),  // qkv
+       gemm(op_name("sm90_xmma_gemm_bf16_qkv_dgrad"), T, d, 3 * d_shard));
+    compute(tid,
+            gemm(op_name("sm90_xmma_gemm_bf16_qkv_wgrad"), d, 3 * d_shard, T));
     tp_allreduce(tid, act);
-    cpu(tid, op_name("autograd::NativeLayerNormBackward0"));
-    kernel(tid, elementwise_desc(op_name("layer_norm_bwd_kernel"), 4 * act),
-           lanes::kComputeStream);
+    op(tid, op_name("autograd::NativeLayerNormBackward0"),
+       elementwise(op_name("layer_norm_bwd_kernel"), 4 * act));
   }
 
   /// One DP gradient bucket: reducer hook on the autograd thread launches
@@ -585,9 +530,6 @@ class RankBuilder {
     record_wait(lanes::kAutogradThread, lanes::kComputeStream,
                 lanes::kDpStream);
     cpu(lanes::kAutogradThread, op_name("c10d::allreduce_"));
-    if (dp_group_ == kNoId) {
-      dp_group_ = ctx_.group("dp_tp", tp_rank_, "_pp", stage_);
-    }
     comm_kernel(lanes::kAutogradThread,
                 op_name("ncclDevKernel_AllReduce_Sum_bf16_RING"),
                 CommOp::AllReduce, dp_group_, dp_instance_++,
@@ -683,11 +625,9 @@ class RankBuilder {
     begin_block(Block::Norm, -1, Phase::Optimizer, -1);
     const std::int64_t params =
         model_.params_per_rank(config_.tp, config_.pp, stage_);
-    cpu(lanes::kMainThread, op_name("megatron::clip_grad_norm"));
-    kernel(lanes::kMainThread,
-           elementwise_desc(op_name("multi_tensor_l2norm_kernel"),
-                            params * dtype_bytes()),
-           lanes::kComputeStream);
+    op(lanes::kMainThread, op_name("megatron::clip_grad_norm"),
+       elementwise(op_name("multi_tensor_l2norm_kernel"),
+                   params * dtype_bytes()));
     record_wait(lanes::kMainThread, lanes::kComputeStream, lanes::kTpStream);
     cpu(lanes::kMainThread, op_name("c10d::allreduce_"));
     {
@@ -711,15 +651,13 @@ class RankBuilder {
     cpu(lanes::kMainThread, op_name("Optimizer.step#Adam.step"));
     constexpr std::int32_t kAdamChunks = 4;
     for (std::int32_t c = 0; c < kAdamChunks; ++c) {
-      kernel(lanes::kMainThread,
-             elementwise_desc(op_name("multi_tensor_apply_kernel_adam"),
-                              params / kAdamChunks * 28),
-             lanes::kComputeStream);
+      compute(lanes::kMainThread,
+              elementwise(op_name("multi_tensor_apply_kernel_adam"),
+                          params / kAdamChunks * 28));
     }
     cpu(lanes::kMainThread, op_name("Optimizer.zero_grad#Adam.zero_grad"));
     kernel(lanes::kMainThread,
-           elementwise_desc(op_name("Memset (Device)"),
-                            params * dtype_bytes()),
+           elementwise(op_name("Memset (Device)"), params * dtype_bytes()),
            lanes::kComputeStream, EventCategory::Memset);
     device_sync(lanes::kMainThread);
   }
@@ -742,8 +680,6 @@ class RankBuilder {
   std::int32_t layer_ = -1;
   Phase phase_ = Phase::Forward;
   std::int32_t microbatch_ = -1;
-  std::uint32_t block_id_ = kNoId;
-  std::uint32_t phase_id_ = kNoId;
 
   // per-rank construction state
   std::int64_t seq_ = 0;
@@ -753,8 +689,8 @@ class RankBuilder {
   std::array<TaskId, kThreads> pending_thread_dep_;
   std::array<TaskId, kStreams> last_kernel_;
   std::array<std::vector<TaskId>, kStreams> pending_waits_;
-  std::uint32_t tp_group_ = kNoId;
-  std::uint32_t dp_group_ = kNoId;
+  std::uint32_t tp_group_;
+  std::uint32_t dp_group_;
   std::int64_t tp_instance_ = 0;
   std::int64_t dp_instance_ = 0;
   /// (block, phase, layer, microbatch) instance -> (next cpu ordinal, next

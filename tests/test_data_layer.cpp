@@ -202,11 +202,9 @@ TEST(TaskMetaTable, RendezvousGroupsAndRow) {
   EXPECT_TRUE(meta.is_coupled_collective(5));
   EXPECT_FALSE(meta.is_p2p(5));
 
-  const core::TaskMeta row = meta.row(5);
-  EXPECT_EQ(row.category, trace::EventCategory::Kernel);
-  EXPECT_EQ(row.duration_ns, 50);
-  EXPECT_EQ(row.group_index, 0);
-  EXPECT_EQ(meta.group_view(row.collective_group), "tp_0");
+  EXPECT_EQ(meta.category(5), trace::EventCategory::Kernel);
+  EXPECT_EQ(meta.duration_ns(5), 50);
+  EXPECT_EQ(meta.group_view(meta.collective_group(5)), "tp_0");
 }
 
 TEST(TaskMetaTable, GpuTasksPerLaneInLaunchOrder) {
