@@ -26,17 +26,15 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "core/task.h"
-#include "trace/event_table.h"
 #include "core/task_meta.h"
 #include "support/shared_cache.h"
+#include "trace/event_table.h"
 
 namespace lumos::core {
 

@@ -171,7 +171,6 @@ class TaskMetaTable {
   /// StreamSynchronize, the EventRecord's id for EventSynchronize.
   TaskId sync_before(TaskId id) const { return sync_before_[idx(id)]; }
 
-
   // -- derived tables --------------------------------------------------------
   const LaneTable& lanes() const { return lanes_; }
   /// GPU tasks of one lane in id (= launch) order; empty for CPU lanes.

@@ -179,40 +179,35 @@ std::int64_t TemplateProvider::kernel_ns(const workload::KernelDesc& desc) {
   }
   const Stats& stats = *found;
 
+  // `base` scaled by the cost-model ratio new/old (kept when old <= 0).
+  const auto scaled = [](std::int64_t base, std::int64_t new_cost,
+                         std::int64_t old_cost) {
+    if (old_cost <= 0) return base;
+    return static_cast<std::int64_t>(static_cast<double>(base) *
+                                     static_cast<double>(new_cost) /
+                                     static_cast<double>(old_cost));
+  };
+
   if (desc.collective) {
     // Extraction already reduced collective durations to per-instance
     // minima (transfer + contention, no peer-wait skew); average across
     // instances and scale by the collective-model ratio when the
     // communicator or payload changed.
-    std::int64_t base = stats.mean_ns();
     const workload::CollectiveDesc& c = *desc.collective;
-    if (stats.collective && (stats.collective_bytes != c.bytes ||
-                             stats.collective_group_size != c.group_size)) {
-      const double new_cost = static_cast<double>(
-          kernel_model_.collective_ns(c.kind, c.bytes, c.placement));
-      const double old_cost = static_cast<double>(kernel_model_.collective_ns(
-          c.kind, stats.collective_bytes, stats.placement));
-      if (old_cost > 0) {
-        base = static_cast<std::int64_t>(static_cast<double>(base) *
-                                         new_cost / old_cost);
-      }
+    if (!stats.collective || (stats.collective_bytes == c.bytes &&
+                              stats.collective_group_size == c.group_size)) {
+      return stats.mean_ns();
     }
-    return base;
+    return scaled(stats.mean_ns(),
+                  kernel_model_.collective_ns(c.kind, c.bytes, c.placement),
+                  kernel_model_.collective_ns(c.kind, stats.collective_bytes,
+                                              stats.placement));
   }
 
   if (desc.gemm.valid() && stats.gemm.valid()) {
-    std::int64_t base = stats.mean_ns();
-    if (!(desc.gemm == stats.gemm)) {
-      const double new_cost =
-          static_cast<double>(kernel_model_.gemm_ns(desc.gemm));
-      const double old_cost =
-          static_cast<double>(kernel_model_.gemm_ns(stats.gemm));
-      if (old_cost > 0) {
-        base = static_cast<std::int64_t>(static_cast<double>(base) *
-                                         new_cost / old_cost);
-      }
-    }
-    return base;
+    if (desc.gemm == stats.gemm) return stats.mean_ns();
+    return scaled(stats.mean_ns(), kernel_model_.gemm_ns(desc.gemm),
+                  kernel_model_.gemm_ns(stats.gemm));
   }
 
   if (desc.is_attention()) {
@@ -236,22 +231,12 @@ std::int64_t TemplateProvider::kernel_ns(const workload::KernelDesc& desc) {
     return static_cast<std::int64_t>(base);
   }
 
-  if (desc.elementwise_bytes > 0) {
-    std::int64_t base = stats.mean_ns();
-    if (options_.recost_elementwise && stats.bytes_moved > 0 &&
-        stats.bytes_moved != desc.elementwise_bytes) {
-      const double new_cost = static_cast<double>(
-          kernel_model_.memory_bound_ns(desc.elementwise_bytes));
-      const double old_cost = static_cast<double>(
-          kernel_model_.memory_bound_ns(stats.bytes_moved));
-      if (old_cost > 0) {
-        base = static_cast<std::int64_t>(static_cast<double>(base) *
-                                         new_cost / old_cost);
-      }
-    }
-    return base;
+  if (desc.elementwise_bytes > 0 && options_.recost_elementwise &&
+      stats.bytes_moved > 0 && stats.bytes_moved != desc.elementwise_bytes) {
+    return scaled(stats.mean_ns(),
+                  kernel_model_.memory_bound_ns(desc.elementwise_bytes),
+                  kernel_model_.memory_bound_ns(stats.bytes_moved));
   }
-
   return stats.mean_ns();
 }
 
