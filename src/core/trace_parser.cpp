@@ -1,8 +1,8 @@
 #include "core/trace_parser.h"
 
 #include <algorithm>
+#include <limits>
 #include <map>
-#include <unordered_map>
 #include <vector>
 
 namespace lumos::core {
@@ -78,67 +78,70 @@ void TraceParser::parse_rank_into(const trace::RankTrace& trace,
     std::stable_sort(ordered.begin(), ordered.end(), by_time);
   }
 
-  const std::size_t n = ordered.size();
+  // Task j of this rank is graph row first + j; the passes below read the
+  // graph's own columns. Blocking CUDA APIs get their duration clamped —
+  // the value the row carries and every pass uses for end times.
   const auto first = static_cast<TaskId>(graph.size());
   graph.append_events(t, ordered);
-  std::vector<TaskId> ids(n);
-  // Clamped durations (blocking CUDA APIs): the value the task row carries
-  // and every pass below uses for end times.
-  std::vector<std::int64_t> dur(n);
-  for (std::size_t j = 0; j < n; ++j) {
+  for (std::size_t j = 0; j < ordered.size(); ++j) {
     const std::uint32_t i = ordered[j];
-    ids[j] = first + static_cast<TaskId>(j);
-    dur[j] = t.dur_ns(i);
     if (trace::blocks_cpu(t.cuda_api(i)) &&
-        dur[j] > options_.sync_duration_clamp_ns) {
-      dur[j] = options_.sync_duration_clamp_ns;
-      graph.set_duration_ns(ids[j], dur[j]);
+        t.dur_ns(i) > options_.sync_duration_clamp_ns) {
+      graph.set_duration_ns(first + static_cast<TaskId>(j),
+                            options_.sync_duration_clamp_ns);
     }
   }
-  auto end_of = [&t, &ordered, &dur](std::size_t j) {
-    return t.ts_ns(ordered[j]) + dur[j];
-  };
+  const trace::EventTable& g = graph.events();
+  const auto end = static_cast<TaskId>(graph.size());
+  auto row = [](TaskId id) { return static_cast<std::size_t>(id); };
 
   // 2. Intra-thread / intra-stream program order.
   std::map<std::int32_t, TaskId> last_cpu;
   std::map<std::int64_t, TaskId> last_gpu;
-  for (std::size_t j = 0; j < n; ++j) {
-    const std::uint32_t i = ordered[j];
-    if (t.is_gpu(i)) {
-      const auto stream = static_cast<std::int64_t>(t.tid(i));
+  for (TaskId id = first; id < end; ++id) {
+    const std::size_t k = row(id);
+    if (g.is_gpu(k)) {
+      const auto stream = static_cast<std::int64_t>(g.tid(k));
       if (auto it = last_gpu.find(stream); it != last_gpu.end()) {
-        graph.add_edge(it->second, ids[j], DepType::IntraStream);
+        graph.add_edge(it->second, id, DepType::IntraStream);
       }
-      last_gpu[stream] = ids[j];
+      last_gpu[stream] = id;
     } else {
-      const std::int32_t tid = t.tid(i);
+      const std::int32_t tid = g.tid(k);
       if (auto it = last_cpu.find(tid); it != last_cpu.end()) {
-        graph.add_edge(it->second, ids[j], DepType::IntraThread);
+        graph.add_edge(it->second, id, DepType::IntraThread);
       }
-      last_cpu[tid] = ids[j];
+      last_cpu[tid] = id;
     }
   }
 
-  // 3. CPU→GPU launch edges by correlation id.
-  std::unordered_map<std::int64_t, TaskId> launch_by_corr;
-  for (std::size_t j = 0; j < n; ++j) {
-    const std::uint32_t i = ordered[j];
-    if (!t.is_gpu(i) && trace::launches_device_work(t.cuda_api(i)) &&
-        t.correlation(i) >= 0) {
-      launch_by_corr[t.correlation(i)] = ids[j];
+  // 3. CPU→GPU launch edges by correlation id. Both sides sort by
+  //    (correlation, id), so the last entry of a correlation's run is its
+  //    latest launch / device activity.
+  std::vector<std::pair<std::int64_t, TaskId>> launches, kernels;
+  for (TaskId id = first; id < end; ++id) {
+    const std::size_t k = row(id);
+    if (g.correlation(k) < 0) continue;
+    if (g.is_gpu(k)) {
+      kernels.push_back({g.correlation(k), id});
+    } else if (trace::launches_device_work(g.cuda_api(k))) {
+      launches.push_back({g.correlation(k), id});
     }
   }
-  std::unordered_map<std::int64_t, TaskId> kernel_by_corr;
-  for (std::size_t j = 0; j < n; ++j) {
-    const std::uint32_t i = ordered[j];
-    if (t.is_gpu(i) && t.correlation(i) >= 0) {
-      kernel_by_corr[t.correlation(i)] = ids[j];
-      if (auto it = launch_by_corr.find(t.correlation(i));
-          it != launch_by_corr.end()) {
-        graph.add_edge(it->second, ids[j], DepType::CpuToGpu);
-      }
+  auto latest = [](const std::vector<std::pair<std::int64_t, TaskId>>& v,
+                   std::int64_t corr) {
+    const std::pair key{corr, std::numeric_limits<TaskId>::max()};
+    auto it = std::upper_bound(v.begin(), v.end(), key);
+    return it != v.begin() && (--it)->first == corr ? it->second
+                                                    : kInvalidTask;
+  };
+  std::sort(launches.begin(), launches.end());
+  for (const auto& [corr, id] : kernels) {
+    if (const TaskId launch = latest(launches, corr); launch != kInvalidTask) {
+      graph.add_edge(launch, id, DepType::CpuToGpu);
     }
   }
+  std::sort(kernels.begin(), kernels.end());
 
   // 4. GPU→GPU inter-stream edges from cudaEventRecord/cudaStreamWaitEvent
   //    pairs. Replaying the CPU event stream in time order reconstructs
@@ -148,17 +151,16 @@ void TraceParser::parse_rank_into(const trace::RankTrace& trace,
     std::map<std::int64_t, TaskId> last_launched_kernel;  // per stream
     std::map<std::int64_t, TaskId> record_point;          // per cuda event
     std::map<std::int64_t, std::vector<TaskId>> pending_waits;  // per stream
-    for (std::size_t j = 0; j < n; ++j) {
-      const std::uint32_t i = ordered[j];
-      if (t.is_gpu(i)) continue;
-      switch (t.cuda_api(i)) {
+    for (TaskId id = first; id < end; ++id) {
+      const std::size_t k = row(id);
+      if (g.is_gpu(k)) continue;
+      switch (g.cuda_api(k)) {
         case trace::CudaApi::LaunchKernel:
         case trace::CudaApi::MemcpyAsync:
         case trace::CudaApi::MemsetAsync: {
-          auto kit = kernel_by_corr.find(t.correlation(i));
-          if (kit == kernel_by_corr.end()) break;
-          const TaskId kernel_id = kit->second;
-          const std::int64_t stream = t.stream(i);
+          const TaskId kernel_id = latest(kernels, g.correlation(k));
+          if (kernel_id == kInvalidTask) break;
+          const std::int64_t stream = g.stream(k);
           if (auto pit = pending_waits.find(stream);
               pit != pending_waits.end()) {
             for (TaskId src : pit->second) {
@@ -172,15 +174,15 @@ void TraceParser::parse_rank_into(const trace::RankTrace& trace,
           break;
         }
         case trace::CudaApi::EventRecord: {
-          auto lit = last_launched_kernel.find(t.stream(i));
-          record_point[t.cuda_event(i)] =
+          auto lit = last_launched_kernel.find(g.stream(k));
+          record_point[g.cuda_event(k)] =
               lit != last_launched_kernel.end() ? lit->second : kInvalidTask;
           break;
         }
         case trace::CudaApi::StreamWaitEvent: {
-          auto rit = record_point.find(t.cuda_event(i));
+          auto rit = record_point.find(g.cuda_event(k));
           if (rit != record_point.end() && rit->second != kInvalidTask) {
-            pending_waits[t.stream(i)].push_back(rit->second);
+            pending_waits[g.stream(k)].push_back(rit->second);
           }
           break;
         }
@@ -195,28 +197,28 @@ void TraceParser::parse_rank_into(const trace::RankTrace& trace,
   //    task on another thread that ended at or before the resume point.
   if (options_.infer_interthread) {
     std::vector<EndIndexEntry> by_end;
-    std::map<std::int32_t, std::vector<std::size_t>> per_thread;  // order pos
-    for (std::size_t j = 0; j < n; ++j) {
-      const std::uint32_t i = ordered[j];
-      if (t.is_gpu(i)) continue;
-      by_end.push_back({end_of(j), ids[j], t.tid(i)});
-      per_thread[t.tid(i)].push_back(j);
+    std::map<std::int32_t, std::vector<TaskId>> per_thread;
+    for (TaskId id = first; id < end; ++id) {
+      const std::size_t k = row(id);
+      if (g.is_gpu(k)) continue;
+      by_end.push_back({g.end_ns(k), id, g.tid(k)});
+      per_thread[g.tid(k)].push_back(id);
     }
     std::sort(by_end.begin(), by_end.end(),
               [](const EndIndexEntry& a, const EndIndexEntry& b) {
                 return a.end_ns < b.end_ns;
               });
     for (const auto& [tid, thread_tasks] : per_thread) {
-      for (std::size_t k = 0; k < thread_tasks.size(); ++k) {
-        const std::size_t j = thread_tasks[k];
-        const std::uint32_t i = ordered[j];
+      for (std::size_t pos = 0; pos < thread_tasks.size(); ++pos) {
+        const TaskId id = thread_tasks[pos];
+        const std::size_t k = row(id);
         // Blocking APIs explain their own gap (GPU→CPU runtime dependency).
-        if (trace::blocks_cpu(t.cuda_api(i))) continue;
-        const bool first_on_thread = k == 0;
+        if (trace::blocks_cpu(g.cuda_api(k))) continue;
+        const bool first_on_thread = pos == 0;
         std::int64_t prev_end = 0;
         if (!first_on_thread) {
-          prev_end = end_of(thread_tasks[k - 1]);
-          if (t.ts_ns(i) - prev_end < options_.interthread_gap_ns) {
+          prev_end = g.end_ns(row(thread_tasks[pos - 1]));
+          if (g.ts_ns(k) - prev_end < options_.interthread_gap_ns) {
             continue;
           }
         }
@@ -224,7 +226,7 @@ void TraceParser::parse_rank_into(const trace::RankTrace& trace,
         // after the previous task on this thread (otherwise it adds no
         // ordering information).
         auto it = std::upper_bound(
-            by_end.begin(), by_end.end(), t.ts_ns(i),
+            by_end.begin(), by_end.end(), g.ts_ns(k),
             [](std::int64_t ts, const EndIndexEntry& e) {
               return ts < e.end_ns;
             });
@@ -238,7 +240,7 @@ void TraceParser::parse_rank_into(const trace::RankTrace& trace,
           }
         }
         if (candidate != kInvalidTask) {
-          graph.add_edge(candidate, ids[j], DepType::InterThread);
+          graph.add_edge(candidate, id, DepType::InterThread);
         } else if (first_on_thread) {
           continue;  // thread simply starts first; no dependency
         }

@@ -80,7 +80,9 @@ consteval OpName op_name(std::string_view text) {
 }
 
 /// Module block an event belongs to (TraceEvent::block).
-enum class Block : std::uint8_t { Sched, Embed, Head, Layer, Dp, Pp, Opt, Norm };
+enum class Block : std::uint8_t {
+  Sched, Embed, Head, Layer, Dp, Pp, Opt, Norm
+};
 inline constexpr std::array<std::string_view, 8> kBlockNames = {
     "sched", "embed", "head", "layer", "dp", "pp", "opt", "norm"};
 

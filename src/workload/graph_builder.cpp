@@ -422,7 +422,8 @@ class RankBuilder {
     const std::int64_t vshard = model_.vocab_size / config_.tp;
     const std::int32_t tid = lanes::kMainThread;
     op(tid, op_name("aten::native_layer_norm"),
-       elementwise(op_name("layer_norm_fwd_kernel"), 3 * T * d * dtype_bytes()));
+       elementwise(op_name("layer_norm_fwd_kernel"),
+                   3 * T * d * dtype_bytes()));
     op(tid, op_name("aten::linear"),
        gemm(op_name("sm90_xmma_gemm_bf16_lm_head"), T, vshard, d));
     op(tid, op_name("aten::log_softmax"),
@@ -446,7 +447,8 @@ class RankBuilder {
     compute(tid, gemm(op_name("sm90_xmma_gemm_bf16_lm_head_wgrad"), d, vshard,
                       T));
     op(tid, op_name("autograd::NativeLayerNormBackward0"),
-       elementwise(op_name("layer_norm_bwd_kernel"), 4 * T * d * dtype_bytes()));
+       elementwise(op_name("layer_norm_bwd_kernel"),
+                   4 * T * d * dtype_bytes()));
   }
 
   void forward_layer(std::int32_t layer, std::int32_t microbatch) {
@@ -497,13 +499,15 @@ class RankBuilder {
        elementwise(op_name("vectorized_elementwise_kernel"), 2 * act));
     op(tid, op_name("autograd::MmBackward0"),  // fc2
        gemm(op_name("sm90_xmma_gemm_bf16_fc2_dgrad"), T, ff_shard, d));
-    compute(tid, gemm(op_name("sm90_xmma_gemm_bf16_fc2_wgrad"), d, ff_shard, T));
+    compute(tid,
+            gemm(op_name("sm90_xmma_gemm_bf16_fc2_wgrad"), d, ff_shard, T));
     op(tid, op_name("autograd::GeluBackward0"),
        elementwise(op_name("gelu_backward_kernel"),
                    3 * T * ff_shard * dtype_bytes()));
     op(tid, op_name("autograd::MmBackward0"),  // fc1
        gemm(op_name("sm90_xmma_gemm_bf16_fc1_dgrad"), T, d, ff_shard));
-    compute(tid, gemm(op_name("sm90_xmma_gemm_bf16_fc1_wgrad"), d, ff_shard, T));
+    compute(tid,
+            gemm(op_name("sm90_xmma_gemm_bf16_fc1_wgrad"), d, ff_shard, T));
     tp_allreduce(tid, act);
     op(tid, op_name("autograd::NativeLayerNormBackward0"),
        elementwise(op_name("layer_norm_bwd_kernel"), 4 * act));
@@ -511,7 +515,8 @@ class RankBuilder {
        attention(op_name("flash_bwd_kernel")));
     op(tid, op_name("autograd::MmBackward0"),  // attn out projection
        gemm(op_name("sm90_xmma_gemm_bf16_attn_dgrad"), T, d_shard, d));
-    compute(tid, gemm(op_name("sm90_xmma_gemm_bf16_attn_wgrad"), d_shard, d, T));
+    compute(tid,
+            gemm(op_name("sm90_xmma_gemm_bf16_attn_wgrad"), d_shard, d, T));
     op(tid, op_name("autograd::MmBackward0"),  // qkv
        gemm(op_name("sm90_xmma_gemm_bf16_qkv_dgrad"), T, d, 3 * d_shard));
     compute(tid,

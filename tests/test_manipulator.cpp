@@ -70,8 +70,8 @@ TEST_F(ManipulatorFixture, DataParallelismChangeKeepsLocalWork) {
   // Only DP communication durations may change.
   ASSERT_EQ(scaled.graph.size(), run_->job.graph.size());
   for (std::size_t i = 0; i < scaled.graph.size(); ++i) {
-    const Task& a = run_->job.graph.task(static_cast<core::TaskId>(i));
-    const Task& b = scaled.graph.task(static_cast<core::TaskId>(i));
+    const Task a = run_->job.graph.task(static_cast<TaskId>(i));
+    const Task b = scaled.graph.task(static_cast<TaskId>(i));
     ASSERT_EQ(a.event.name, b.event.name);
     if (a.is_collective_kernel() &&
         a.event.collective.group.rfind("dp_", 0) == 0) {

@@ -177,7 +177,9 @@ TEST_P(SimulatorProperty, StartsRespectFixedDependencies) {
 
 TEST_P(SimulatorProperty, ProcessorsNeverOverlap) {
   std::map<Processor, std::vector<TaskId>> per_proc;
-  for (const Task& t : testutil::task_views(graph())) per_proc[t.processor].push_back(t.id);
+  for (const Task& t : testutil::task_views(graph())) {
+    per_proc[t.processor].push_back(t.id);
+  }
   for (auto& [proc, ids] : per_proc) {
     std::sort(ids.begin(), ids.end(), [&](TaskId a, TaskId b) {
       return result_.start_ns[static_cast<std::size_t>(a)] <

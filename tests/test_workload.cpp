@@ -426,7 +426,8 @@ TEST(GraphBuilder, DeterministicConstruction) {
   ASSERT_EQ(a.graph.size(), b.graph.size());
   ASSERT_EQ(a.graph.edges().size(), b.graph.edges().size());
   for (std::size_t i = 0; i < a.graph.size(); ++i) {
-    EXPECT_EQ(a.graph.task(static_cast<core::TaskId>(i)).event, b.graph.task(static_cast<core::TaskId>(i)).event);
+    const auto id = static_cast<core::TaskId>(i);
+    EXPECT_EQ(a.graph.task(id).event, b.graph.task(id).event);
   }
 }
 
