@@ -303,17 +303,6 @@ class RankBuilder {
     }
   }
 
-  /// Blocking cudaStreamSynchronize on `stream`; the wait itself is a
-  /// *runtime* dependency resolved by the simulator.
-  void sync_stream(std::int32_t tid, std::int64_t stream) {
-    cpu(tid, op_name("cudaStreamSynchronize"), EventCategory::CudaRuntime,
-        stream);
-  }
-
-  void device_sync(std::int32_t tid) {
-    cpu(tid, op_name("cudaDeviceSynchronize"), EventCategory::CudaRuntime);
-  }
-
   // ---------------------------------------------------------------------
   // Model building blocks
   // ---------------------------------------------------------------------
@@ -621,9 +610,12 @@ class RankBuilder {
   }
 
   void optimizer_epilogue() {
-    // All DP buckets must land before gradient clipping / optimizer.
+    // All DP buckets must land before gradient clipping / optimizer: a
+    // blocking stream sync, whose wait is a *runtime* dependency the
+    // simulator resolves.
     begin_block(Block::Opt, -1, Phase::Optimizer, -1);
-    sync_stream(lanes::kMainThread, lanes::kDpStream);
+    cpu(lanes::kMainThread, op_name("cudaStreamSynchronize"),
+        EventCategory::CudaRuntime, lanes::kDpStream);
 
     // Global grad-norm: local reduction + all-reduce across the model-
     // parallel group (synchronizes all pipeline stages and TP ranks).
@@ -664,7 +656,8 @@ class RankBuilder {
     kernel(lanes::kMainThread,
            elementwise(op_name("Memset (Device)"), params * dtype_bytes()),
            lanes::kComputeStream, EventCategory::Memset);
-    device_sync(lanes::kMainThread);
+    cpu(lanes::kMainThread, op_name("cudaDeviceSynchronize"),
+        EventCategory::CudaRuntime);
   }
 
   BuildContext& ctx_;
