@@ -187,11 +187,11 @@ class EventTable {
   void push_row(const Row& row, CudaApi api);
 
   /// Appends rows `rows` of `src`, in order (callers reserve). When `src`
-  /// shares this table's
-  /// pools the rows are a pure column gather: string ids are copied, nothing
-  /// is interned. Otherwise each row is re-interned (hand-assembled inputs).
-  /// Side-table rows are kept only where they carry content, so a gathered
-  /// table equals one built by push_back() of the materialized events.
+  /// shares this table's pools the rows are a pure column gather: string
+  /// ids are copied, nothing is interned. Otherwise each row is re-interned
+  /// (hand-assembled inputs). Side-table rows are kept only where they
+  /// carry content, so a gathered table equals one built by push_back() of
+  /// the materialized events.
   void append_rows(const EventTable& src, std::span<const std::uint32_t> rows);
 
   /// Re-homes this table onto a private copy of its pools with identical
