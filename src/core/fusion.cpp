@@ -100,15 +100,18 @@ FusionResult fuse_elementwise(const ExecutionGraph& graph,
     // pools may be shared with a trace other threads are reading.
     out.detach_pools();
     trace::StringPool& names = out.pools()->names;
-    std::vector<std::uint32_t> fused_name(names.size(),
+    // One fused name per source name id; the last slot serves the empty
+    // name (the invalid id).
+    const std::size_t unnamed = graph.pools()->names.size();
+    std::vector<std::uint32_t> fused_name(unnamed + 1,
                                           trace::NameId::kInvalidIndex);
     for (std::size_t id = 0; id < n; ++id) {
       if (added_ns[id] < 0) continue;
       const TaskId t = new_id[id];
       const auto tid = static_cast<TaskId>(id);
       out.set_duration_ns(t, meta.duration_ns(tid) + added_ns[id]);
-      const std::uint32_t name = ev.name_id(id).index;
-      std::uint32_t& fused = fused_name[name];
+      const trace::NameId name = ev.name_id(id);
+      std::uint32_t& fused = fused_name[name.valid() ? name.index : unnamed];
       if (fused == trace::NameId::kInvalidIndex) {
         fused = names.intern("fused_" + std::string(ev.name(id)));
       }

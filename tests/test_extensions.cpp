@@ -346,6 +346,38 @@ TEST(Fusion, SavedTimeMatchesAccounting) {
             graph.total_duration_ns() - fused.graph.total_duration_ns());
 }
 
+TEST(Fusion, RenamesHeadsInPrivatePoolsIncludingUnnamedKernels) {
+  // Two runs on one stream: named "ew" kernels, then unnamed ones (the
+  // empty name is the pool's invalid id). Heads become "fused_ew" and
+  // "fused_"; the source graph and its pools are left untouched.
+  core::ExecutionGraph graph;
+  for (const char* name : {"ew", "ew", "", ""}) {
+    core::Task t;
+    t.processor = {0, true, 7};
+    t.event.name = name;
+    t.event.cat = trace::EventCategory::Kernel;
+    t.event.dur_ns = 10'000;
+    t.event.bytes_moved = 1 << 20;
+    t.event.block = name[0] != '\0' ? "layer" : "head";
+    graph.add_task(t);
+  }
+  graph.add_edge(0, 1, core::DepType::IntraStream);
+  graph.add_edge(1, 2, core::DepType::IntraStream);
+  graph.add_edge(2, 3, core::DepType::IntraStream);
+  const std::size_t source_names = graph.pools()->names.size();
+  core::FusionResult fused = core::fuse_elementwise(graph);
+  ASSERT_EQ(fused.fused_groups, 2u);
+  ASSERT_EQ(fused.graph.size(), 2u);
+  EXPECT_EQ(fused.graph.task(0).event.name, "fused_ew");
+  EXPECT_EQ(fused.graph.task(1).event.name, "fused_");
+  EXPECT_EQ(fused.graph.task(0).event.dur_ns, 10'000 + 10'000 - 2'500);
+  ASSERT_EQ(fused.graph.edges().size(), 1u);
+  EXPECT_EQ(fused.graph.edges()[0], (core::Edge{0, 1,
+                                                core::DepType::IntraStream}));
+  EXPECT_EQ(graph.pools()->names.size(), source_names);
+  EXPECT_EQ(graph.task(0).event.name, "ew");
+}
+
 
 // ---------------------------------------------------------------------------
 // ASCII timeline

@@ -104,8 +104,7 @@ struct GraphFixture {
 
   TaskId collective(std::int32_t rank, std::int64_t stream, std::int64_t dur,
                     std::string group, std::int64_t instance,
-                    std::string op = "allreduce",
-                    std::int32_t group_size = 2) {
+                    std::string op = "allreduce") {
     Task t;
     t.processor = {rank, true, stream};
     t.event.name = "nccl";
@@ -113,8 +112,7 @@ struct GraphFixture {
     t.event.dur_ns = dur;
     t.event.ts_ns = seq++;
     t.event.stream = stream;
-    t.event.collective = {std::move(op), std::move(group), 1024, group_size,
-                          instance};
+    t.event.collective = {std::move(op), std::move(group), 1024, 2, instance};
     return g.add_task(std::move(t));
   }
 };
