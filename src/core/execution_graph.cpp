@@ -176,10 +176,12 @@ std::vector<std::int32_t> ExecutionGraph::in_degrees() const {
 }
 
 std::vector<std::int32_t> ExecutionGraph::ranks() const {
-  const io::Column<std::int32_t>& rank = columns().rank;
-  std::vector<std::int32_t> out(rank.begin(), rank.end());
+  const LaneTable& lanes = meta().lanes();
+  std::vector<std::int32_t> out(lanes.rank_count());
+  for (std::size_t r = 0; r < out.size(); ++r) {
+    out[r] = lanes.rank_value(static_cast<std::int32_t>(r));
+  }
   std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
 }
 

@@ -191,22 +191,26 @@ class TaskMetaTable {
   /// The pools backing this table: the graph payload's pools (the trace's
   /// own pools when the graph was parsed from a trace).
   const std::shared_ptr<trace::TracePools>& pools() const { return pools_; }
+  /// Text of a pooled id; the invalid id encodes the empty string.
   std::string_view name_view(TaskId id) const {
-    const std::uint32_t name = name_[idx(id)];
-    return name == trace::NameId::kInvalidIndex ? std::string_view{}
-                                                : pools_->names.view(name);
+    return view(pools_->names, name_[idx(id)]);
   }
   std::string_view op_view(trace::OpId id) const {
-    return pools_->ops.view(id.index);
+    return view(pools_->ops, id.index);
   }
   std::string_view group_view(trace::GroupId id) const {
-    return pools_->groups.view(id.index);
+    return view(pools_->groups, id.index);
   }
 
  private:
   friend struct lumos::snapshot::Access;
 
   static std::size_t idx(TaskId id) { return static_cast<std::size_t>(id); }
+  static std::string_view view(const trace::StringPool& pool,
+                               std::uint32_t id) {
+    return id == trace::NameId::kInvalidIndex ? std::string_view{}
+                                              : pool.view(id);
+  }
 
   enum Flag : std::uint8_t {
     kGpu = 1u << 0,
