@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 #include <string>
+#include <tuple>
 #include <vector>
 
 namespace lumos::core {
