@@ -11,7 +11,7 @@
 // benches (BM_Write*, BM_ParseFile, BM_MergeIntervals*, BM_Parse, the
 // snapshot A/B: BM_Snapshot*, BM_IngestBaseline, plus the replay A/B:
 // BM_Replay*, BM_ReplayCompiled, BM_CompileProgram, and graph construction:
-// BM_GraphBuild, BM_TraceParse, BM_MetaBuild, BM_Rebuild), so CI runs leave a
+// BM_GraphBuild, BM_TraceParse, BM_MetaBuild, BM_Rebuild*), so CI runs leave a
 // machine-readable record future PRs can diff against.
 #include <benchmark/benchmark.h>
 
@@ -104,21 +104,33 @@ workload::ParallelConfig fig7_base_config() {
   return config;
 }
 
-// One fig7 what-if: the 15B 2x2x4 baseline (profiled at seed 1, parsed
-// once) rebuilt at pp=4, dp=8 through GraphManipulator — template
-// extraction plus graph construction, the per-variant cost of a sweep.
-void BM_Rebuild(benchmark::State& state) {
+// The 15B 2x2x4 baseline, profiled at seed 1 and parsed once.
+const core::ExecutionGraph& fig7_baseline() {
   static const core::ExecutionGraph baseline = [] {
     cluster::GroundTruthEngine engine(workload::ModelSpec::gpt3_15b(),
                                       fig7_base_config());
     return core::TraceParser().parse(engine.run_profiled(1).trace);
   }();
-  cost::KernelPerfModel model;
+  return baseline;
+}
+
+// One fig7 what-if: the baseline rebuilt at pp=4, dp=8 through
+// GraphManipulator.
+workload::BuiltJob fig7_rebuild() {
+  const cost::KernelPerfModel model;
+  core::GraphManipulator manipulator(
+      fig7_baseline(), workload::ModelSpec::gpt3_15b(), fig7_base_config(),
+      model);
+  return manipulator.with_parallelism(4, 8);
+}
+
+// Template extraction plus graph construction, the per-variant build cost
+// of a sweep.
+void BM_Rebuild(benchmark::State& state) {
+  fig7_baseline();
   std::size_t tasks = 0;
   for (auto _ : state) {
-    core::GraphManipulator manipulator(
-        baseline, workload::ModelSpec::gpt3_15b(), fig7_base_config(), model);
-    workload::BuiltJob job = manipulator.with_parallelism(4, 8);
+    workload::BuiltJob job = fig7_rebuild();
     tasks = job.graph.size();
     benchmark::DoNotOptimize(job);
   }
@@ -127,6 +139,40 @@ void BM_Rebuild(benchmark::State& state) {
   state.counters["tasks"] = static_cast<double>(tasks);
 }
 BENCHMARK(BM_Rebuild)->Unit(benchmark::kMillisecond);
+
+// The per-variant replay cost of the same rebuilt graph, both ways a
+// what-if can take: the interpreter, and one compile plus one compiled run
+// (a derived graph compiles per prediction). Their ratio is the crossover
+// that decides whether compiling a graph replayed once pays.
+void BM_RebuildReplayInterpreted(benchmark::State& state) {
+  const core::ExecutionGraph graph = fig7_rebuild().graph;
+  for (auto _ : state) {
+    core::SimResult r = core::replay(graph);
+    benchmark::DoNotOptimize(r);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(graph.size()) *
+                          state.iterations());
+  state.counters["tasks"] = static_cast<double>(graph.size());
+}
+BENCHMARK(BM_RebuildReplayInterpreted)->Unit(benchmark::kMillisecond);
+
+void BM_RebuildReplayCompiled(benchmark::State& state) {
+  const core::ExecutionGraph graph = fig7_rebuild().graph;
+  for (auto _ : state) {
+    core::ReplayCompiler::Result compiled =
+        core::ReplayCompiler::compile(graph);
+    if (!compiled) {
+      state.SkipWithError(core::to_string(compiled.status));
+      return;
+    }
+    core::SimResult r = compiled.program->run();
+    benchmark::DoNotOptimize(r);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(graph.size()) *
+                          state.iterations());
+  state.counters["tasks"] = static_cast<double>(graph.size());
+}
+BENCHMARK(BM_RebuildReplayCompiled)->Unit(benchmark::kMillisecond);
 
 void BM_TraceParse(benchmark::State& state) {
   const auto& run = cached_run(static_cast<std::int32_t>(state.range(0)));

@@ -104,22 +104,30 @@ Result<core::SimulatorHooks*> instantiate_hooks(
   return owned.get();
 }
 
-/// The one simulator dispatch behind Session::replay, predict_on and
-/// replay_faulted. `program` is the baseline's compiled program when `graph`
-/// is the baseline graph itself, null otherwise. The compiled program runs
-/// when no hooks are in play and the fault plan, if any, only rescales
-/// durations; dropout and contention (stuck-task scan, rendezvous
-/// concurrency signal) and hooks take the interpreter with coupled
-/// collectives. Both paths are bit-identical (test_replay_program).
-/// `compiled`, when given, reports which one ran.
-core::SimResult simulate(const core::ExecutionGraph& graph,
-                         const core::ReplayProgram* program,
+/// The one simulator dispatch behind Session::replay, replay_dpro,
+/// predict_on and replay_faulted. A compiled program runs when no hooks are
+/// in play and the fault plan, if any, only rescales durations; dropout and
+/// contention (stuck-task scan, rendezvous concurrency signal) and hooks
+/// take the interpreter with coupled collectives. The program for
+/// `base.graph` is the baseline's cached one (null after a compile
+/// fallback, and then never recompiled per call); any other graph is
+/// derived from it and compiles its own program here, running the
+/// interpreter when that compile falls back. Both paths are bit-identical
+/// (test_replay_program). `compiled`, when given, reports which one ran.
+core::SimResult simulate(const BaselineArtifacts& base,
+                         const core::ExecutionGraph& graph,
                          core::SimulatorHooks* hooks,
                          const faults::FaultPlan* plan,
                          bool* compiled = nullptr) {
-  const bool use_program = hooks == nullptr && program != nullptr &&
-                           program->coupled() &&
-                           (plan == nullptr || plan->compiled_eligible());
+  const bool eligible =
+      hooks == nullptr && (plan == nullptr || plan->compiled_eligible());
+  std::shared_ptr<const core::ReplayProgram> program;
+  if (eligible) {
+    program = &graph == base.graph.get()
+                  ? base.program
+                  : core::ReplayCompiler::compile(graph).program;
+  }
+  const bool use_program = program != nullptr && program->coupled();
   if (compiled != nullptr) *compiled = use_program;
   if (use_program) {
     return plan == nullptr ? program->run() : program->run(plan->durations());
@@ -304,7 +312,7 @@ Status Session::ensure_replay() {
   if (!hooks.is_ok()) return hooks.status();
   ++stats_.simulations;
   core::SimResult result =
-      simulate(*base_.graph, base_.program.get(), *hooks, nullptr);
+      simulate(base_, *base_.graph, *hooks, nullptr);
   if (!result.complete()) {
     return deadlock_error("replay stuck with " +
                           std::to_string(result.stuck_tasks.size()) +
@@ -323,7 +331,8 @@ Status Session::ensure_dpro() {
   if (dpro_) return Status::ok();
   if (Status status = ensure_graph(); !status.is_ok()) return status;
   ++stats_.simulations;
-  core::SimResult result = baseline::replay_dpro(*base_.graph);
+  const core::ExecutionGraph dpro = baseline::dpro_graph(*base_.graph);
+  core::SimResult result = simulate(base_, dpro, nullptr, nullptr);
   if (!result.complete()) {
     return deadlock_error("dPRO replay stuck with " +
                           std::to_string(result.stuck_tasks.size()) +
@@ -521,12 +530,11 @@ Result<Prediction> predict_on(const BaselineArtifacts& base,
       return invalid_argument_error("fault spec: " + plan.error());
     }
   }
-  // Every structural manipulation above swapped `to_run` for a new graph;
-  // when none did, the baseline's compiled program describes this run.
-  const bool structure_preserved = to_run == base.graph.get();
-  out.sim = simulate(*to_run,
-                     structure_preserved ? base.program.get() : nullptr,
-                     *hooks, whatif.faults() != nullptr ? &plan : nullptr,
+  // Every structural manipulation above swapped `to_run` for a derived
+  // graph, which simulate() compiles; when none did, the baseline's cached
+  // program describes this run.
+  out.sim = simulate(base, *to_run, *hooks,
+                     whatif.faults() != nullptr ? &plan : nullptr,
                      &out.used_compiled_replay);
   if (!out.sim.complete()) {
     return deadlock_error("prediction stuck with " +
@@ -686,7 +694,7 @@ Result<core::SimResult> replay_faulted(const BaselineArtifacts& base,
   }
   // Deadlock-as-data: a dropout spec deadlocks by design, and the stuck-
   // task set *is* the result.
-  return simulate(*base.graph, base.program.get(), nullptr, &plan);
+  return simulate(base, *base.graph, nullptr, &plan);
 }
 
 }  // namespace lumos::api

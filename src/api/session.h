@@ -67,11 +67,13 @@ struct Prediction {
   /// Fusion statistics, non-zero only when the what-if requested fusion.
   std::size_t kernels_eliminated = 0;
   std::int64_t fusion_saved_ns = 0;
-  /// True when this prediction was evaluated by the baseline's compiled
-  /// ReplayProgram instead of the interpreter (hook-free, structure-
-  /// preserving what-ifs against a baseline that compiled). Either path is
-  /// bit-identical; the flag exists so callers (and SweepReport's
-  /// compiled_replays counter) can prove the fast path engaged.
+  /// True when this prediction ran a compiled ReplayProgram instead of the
+  /// interpreter: the baseline's cached program for a structure-preserving
+  /// what-if, or the program compiled for the rebuilt, fused or ablated
+  /// graph the what-if derived. Hooks, dropout or contention faults and a
+  /// compile fallback leave it false. Either path is bit-identical; the
+  /// flag exists so callers (and SweepReport's compiled_replays counter)
+  /// can prove the fast path engaged.
   bool used_compiled_replay = false;
 
   double makespan_ms() const {
@@ -92,7 +94,8 @@ struct BaselineArtifacts {
   std::shared_ptr<const trace::ClusterTrace> trace;
   std::shared_ptr<const core::ExecutionGraph> graph;
   /// The graph lowered by core::ReplayCompiler, when it compiles; null
-  /// otherwise (predict_on then uses the interpreter, bit-identically).
+  /// otherwise (structure-preserving what-ifs then use the interpreter,
+  /// bit-identically; graphs a what-if derives compile their own).
   /// Shares the artifacts' lifetime, is self-contained (keeps nothing of
   /// the graph alive) and immutable, so concurrent predictions replay it
   /// freely.
@@ -158,7 +161,9 @@ class Session {
   /// Lumos replay of the graph (Algorithm 1 with collective coupling and
   /// this scenario's hooks, if any). kDeadlock when the simulation sticks.
   Result<const core::SimResult*> replay();
-  /// dPRO-baseline replay (inter-stream dependencies dropped).
+  /// dPRO-baseline replay (inter-stream dependencies dropped). The dPRO
+  /// graph compiles like any derived graph; the result is bit-identical to
+  /// the interpreter reference baseline::replay_dpro.
   Result<const core::SimResult*> replay_dpro();
   /// The replayed trace materialized from replay().
   Result<const trace::ClusterTrace*> replayed_trace();

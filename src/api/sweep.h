@@ -71,10 +71,11 @@ struct SweepRow {
 struct SweepReport {
   std::vector<SweepRow> rows;
   std::vector<std::size_t> ranking;  ///< indices into rows, best first
-  /// Rows whose prediction was evaluated by the baseline's compiled
-  /// ReplayProgram (Prediction::used_compiled_replay) instead of the
-  /// interpreter — proof that structure-preserving variants reuse the
-  /// one-time compile rather than re-deriving schedule order per variant.
+  /// Rows whose prediction ran a compiled ReplayProgram instead of the
+  /// interpreter (Prediction::used_compiled_replay): the baseline's cached
+  /// one for structure-preserving variants, or the variant's own for
+  /// rebuilt, fused and ablated graphs. Hooked rows and compile fallbacks
+  /// are not counted.
   std::size_t compiled_replays = 0;
 
   std::size_t succeeded() const { return ranking.size(); }

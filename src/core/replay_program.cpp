@@ -289,15 +289,18 @@ ReplayCompiler::Result ReplayCompiler::compile(const ExecutionGraph& graph,
     }
   }
 
+  // CSR ordering graph plus Kahn in-degrees; the edge list is released
+  // once both are built so it does not stay resident through emission.
   OrderingGraph order;
+  std::vector<std::int32_t> in_degree(node_count, 0);
   {
     std::vector<std::int32_t> counts(node_count + 1, 0);
     for (const auto& [src, dst] : order_edges) {
-      (void)dst;
       ++counts[static_cast<std::size_t>(src) + 1];
+      ++in_degree[static_cast<std::size_t>(dst)];
     }
     for (std::size_t i = 1; i <= node_count; ++i) counts[i] += counts[i - 1];
-    order.offsets = counts;  // counts now holds the final offsets
+    order.offsets = std::move(counts);  // now the final offsets
     order.heads.resize(order_edges.size());
     std::vector<std::int32_t> cursor(order.offsets.begin(),
                                      order.offsets.end() - 1);
@@ -305,16 +308,13 @@ ReplayCompiler::Result ReplayCompiler::compile(const ExecutionGraph& graph,
       order.heads[static_cast<std::size_t>(
           cursor[static_cast<std::size_t>(src)]++)] = dst;
     }
+    std::vector<std::pair<std::int32_t, std::int32_t>>().swap(order_edges);
   }
 
   // Kahn topological sort, min-node-id heap for a canonical instruction
   // stream (any topo order evaluates the recurrence identically; the
-  // canonical one makes compiles deterministic byte-for-byte).
-  std::vector<std::int32_t> in_degree(node_count, 0);
-  for (const auto& [src, dst] : order_edges) {
-    (void)src;
-    ++in_degree[static_cast<std::size_t>(dst)];
-  }
+  // canonical one makes compiles deterministic byte-for-byte, and its
+  // id-local order keeps the compiled run cache-friendly).
   std::vector<std::int32_t> topo;
   topo.reserve(node_count);
   std::priority_queue<std::int32_t, std::vector<std::int32_t>,
@@ -345,25 +345,21 @@ ReplayCompiler::Result ReplayCompiler::compile(const ExecutionGraph& graph,
   // Lane-order proof: per lane, candidate order = topo position; every
   // consecutive pair must be connected by a dependency path, which makes
   // the order duration-invariant (and therefore the interpreter's order).
+  // One pass over `topo` visits each lane's tasks in that order, so `last`
+  // holds the previous task of every lane.
   {
-    std::vector<std::vector<TaskId>> lane_tasks(program->lane_count_);
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto t = static_cast<TaskId>(i);
-      lane_tasks[static_cast<std::size_t>(meta.lane(t))].push_back(t);
-    }
+    std::vector<TaskId> last(program->lane_count_, kInvalidTask);
     ReachChecker checker(order, pos, node_count);
-    for (std::vector<TaskId>& tasks : lane_tasks) {
-      std::sort(tasks.begin(), tasks.end(), [&pos](TaskId a, TaskId b) {
-        return pos[static_cast<std::size_t>(a)] <
-               pos[static_cast<std::size_t>(b)];
-      });
-      for (std::size_t i = 1; i < tasks.size(); ++i) {
-        if (!checker.proven(static_cast<std::int32_t>(tasks[i - 1]),
-                            static_cast<std::int32_t>(tasks[i]),
-                            options.lane_check_budget)) {
-          return fallback(ReplayCompileStatus::kUnorderedLane);
-        }
+    for (const std::int32_t node : topo) {
+      if (node >= static_cast<std::int32_t>(n)) continue;
+      const auto t = static_cast<TaskId>(node);
+      TaskId& prev = last[static_cast<std::size_t>(meta.lane(t))];
+      if (prev != kInvalidTask &&
+          !checker.proven(static_cast<std::int32_t>(prev), node,
+                          options.lane_check_budget)) {
+        return fallback(ReplayCompileStatus::kUnorderedLane);
       }
+      prev = t;
     }
   }
 
@@ -397,18 +393,20 @@ ReplayCompiler::Result ReplayCompiler::compile(const ExecutionGraph& graph,
       ins.op = ReplayProgram::Op::kRendezvous;
       ins.id = static_cast<std::int32_t>(gi);
       ins.first = static_cast<std::uint32_t>(program->members_.size());
-      std::vector<TaskId> members = groups[gi].members;
-      std::sort(members.begin(), members.end(), [&meta](TaskId a, TaskId b) {
-        const std::int64_t ta = meta.ts_ns(a);
-        const std::int64_t tb = meta.ts_ns(b);
-        return ta != tb ? ta < tb : a < b;
-      });
-      for (const TaskId m : members) {
-        program->members_.push_back(
-            {m, meta.lane(m), meta.is_p2p(m)});
+      for (const TaskId m : groups[gi].members) {
+        program->members_.push_back({m, meta.lane(m), meta.is_p2p(m)});
       }
       ins.count =
           static_cast<std::uint32_t>(program->members_.size()) - ins.first;
+      std::sort(program->members_.begin() +
+                    static_cast<std::ptrdiff_t>(ins.first),
+                program->members_.end(),
+                [&meta](const ReplayProgram::Member& a,
+                        const ReplayProgram::Member& b) {
+                  const std::int64_t ta = meta.ts_ns(a.task);
+                  const std::int64_t tb = meta.ts_ns(b.task);
+                  return ta != tb ? ta < tb : a.task < b.task;
+                });
     }
     program->instrs_.push_back(ins);
   }

@@ -9,6 +9,8 @@
 #include <string>
 
 #include "api/api.h"
+#include "baseline/dpro.h"
+#include "core/replay_program.h"
 #include "test_util.h"
 #include "trace/chrome_trace.h"
 
@@ -220,6 +222,32 @@ TEST(Session, DproAndActualAreIndependentlyCached) {
   ASSERT_TRUE(session->actual_iteration_ns().is_ok());
   ASSERT_TRUE(session->actual_iteration_ns().is_ok());
   EXPECT_EQ(session->cache_stats().actual_runs, 1u);
+}
+
+TEST(Session, DproReplayMatchesBaselineReference) {
+  // Session::replay_dpro compiles the dPRO graph through the facade's one
+  // replay dispatch; baseline::replay_dpro stays the interpreter reference.
+  for (const Scenario& scenario :
+       {tiny_scenario(), Scenario::synthetic()
+                             .with_model(testutil::tiny_model())
+                             .with_parallelism(testutil::tiny_config())
+                             .with_seed(123)}) {
+    Result<Session> session = Session::create(scenario);
+    ASSERT_TRUE(session.is_ok()) << session.status().to_string();
+    Result<const core::ExecutionGraph*> graph = session->graph();
+    ASSERT_TRUE(graph.is_ok()) << graph.status().to_string();
+    EXPECT_EQ(core::ReplayCompiler::compile(baseline::dpro_graph(**graph))
+                  .status,
+              core::ReplayCompileStatus::kCompiled)
+        << scenario.describe();
+    Result<const core::SimResult*> fast = session->replay_dpro();
+    ASSERT_TRUE(fast.is_ok()) << fast.status().to_string();
+    const core::SimResult reference = baseline::replay_dpro(**graph);
+    EXPECT_EQ((*fast)->start_ns, reference.start_ns) << scenario.describe();
+    EXPECT_EQ((*fast)->end_ns, reference.end_ns);
+    EXPECT_EQ((*fast)->makespan_ns, reference.makespan_ns);
+    EXPECT_EQ((*fast)->executed, reference.executed);
+  }
 }
 
 TEST(Session, PredictParallelismChangesWorldSize) {

@@ -6,8 +6,9 @@
 // non-positive durations, deadlock cycles. Fixture zoo: hand-built sync /
 // rendezvous graphs (test_simulator's shapes), 25 seeded random graphs,
 // the seed-123 ground-truth cluster trace (golden executed/makespan
-// constants), a 20-rank synthetic ingest-style trace, fused graphs, and
-// caller-supplied duration columns checked against a hooked interpreter.
+// constants), a 20-rank synthetic ingest-style trace, fused graphs, a
+// rebuilt PP x DP grid, and caller-supplied duration columns checked
+// against a hooked interpreter.
 // Concurrent replay of one shared program runs under the TSan CI job.
 #include <gtest/gtest.h>
 
@@ -24,9 +25,13 @@
 #include "cluster/ground_truth.h"
 #include "core/execution_graph.h"
 #include "core/fusion.h"
+#include "core/graph_manipulator.h"
 #include "core/replay_program.h"
 #include "core/simulator.h"
 #include "core/trace_parser.h"
+#include "costmodel/kernel_model.h"
+#include "faults/fault_plan.h"
+#include "faults/fault_spec.h"
 #include "serve/engine.h"
 #include "serve/protocol.h"
 #include "test_util.h"
@@ -504,6 +509,32 @@ TEST(ReplayProgram, Seed123GroundTruthBitIdentical) {
   expect_identical(compiled.program->run(), reference);
 }
 
+TEST(ReplayProgram, RebuiltGraphsCompileBitIdentical) {
+  // Every parallelism what-if replays a graph the template provider
+  // rebuilt from the profiled one. The builder emits direct chain edges on
+  // every lane, so each variant of a PP x DP grid must compile — never
+  // fall back — and replay bit-identically to the interpreter.
+  cluster::GroundTruthEngine engine(testutil::tiny_model(),
+                                    testutil::tiny_config());
+  const cluster::GroundTruthRun run = engine.run_profiled(/*seed=*/123);
+  const ExecutionGraph baseline = TraceParser().parse(run.trace);
+  const cost::KernelPerfModel kernel_model;
+  const GraphManipulator manipulator(baseline, testutil::tiny_model(),
+                                     testutil::tiny_config(), kernel_model);
+  for (const std::int32_t pp : {1, 2, 4}) {
+    for (const std::int32_t dp : {1, 2, 4}) {
+      SCOPED_TRACE("pp=" + std::to_string(pp) + " dp=" + std::to_string(dp));
+      const workload::BuiltJob job = manipulator.with_parallelism(pp, dp);
+      ReplayCompiler::Result compiled = ReplayCompiler::compile(job.graph);
+      ASSERT_EQ(compiled.status, ReplayCompileStatus::kCompiled)
+          << to_string(compiled.status);
+      const SimResult reference = replay(job.graph);
+      ASSERT_TRUE(reference.complete());
+      expect_identical(compiled.program->run(), reference);
+    }
+  }
+}
+
 TEST(ReplayProgram, TwentyRankClusterTraceBitIdentical) {
   // The test_ingest 20-rank synthetic shape: per-rank runtime/kernel
   // streams, rank-unique CPU ops, and 4-way coupled collective groups
@@ -598,8 +629,9 @@ TEST(ReplayProgram, ConcurrentReplayOfSharedProgram) {
 // core layer — bit-identical to the interpreter, which the tests reach one
 // layer down (api::replay_graph, or predict_on over a baseline whose
 // program was reset) — plus correct provenance: hook-free structure-
-// preserving predictions report the compiled path, anything that
-// rebuilds/fuses/hooks reports the interpreter.
+// preserving predictions run the baseline's program, rebuilt, fused and
+// ablated graphs compile their own, and hooks or a compile fallback report
+// the interpreter.
 // ---------------------------------------------------------------------------
 
 namespace lumos {
@@ -662,15 +694,18 @@ TEST(FacadeCompiledReplay, NoOpPredictReportsCompiledPath) {
   expect_same_sim(fast->sim, reference->sim);
 }
 
+/// An identity hook: it changes no result, but its presence forces the
+/// interpreter, because the compiled program has no per-pick callback
+/// points. A what-if with it attached is the interpreter reference for the
+/// same what-if without it.
+class IdentityHooks : public core::SimulatorHooks {
+ public:
+  std::int64_t task_duration_ns(const core::Task& t) override {
+    return t.event.dur_ns;
+  }
+};
+
 TEST(FacadeCompiledReplay, HooksForceInterpreterFallback) {
-  // An identity hook must not change results, but its presence must force
-  // the interpreter: the compiled program has no per-pick callback points.
-  class IdentityHooks : public core::SimulatorHooks {
-   public:
-    std::int64_t task_duration_ns(const core::Task& t) override {
-      return t.event.dur_ns;
-    }
-  };
   ASSERT_TRUE(Session::register_hooks("replay_identity_hooks", [] {
                 return std::make_unique<IdentityHooks>();
               }).is_ok());
@@ -686,16 +721,72 @@ TEST(FacadeCompiledReplay, HooksForceInterpreterFallback) {
   expect_same_sim(compiled->sim, hooked->sim);
 }
 
-TEST(FacadeCompiledReplay, StructureChangingWhatIfsFallBack) {
+TEST(FacadeCompiledReplay, StructureChangingWhatIfsCompileTheirOwnGraph) {
   Result<Session> session = Session::create(tiny_scenario());
   ASSERT_TRUE(session.is_ok());
-  Result<Prediction> fused = session->predict(whatif().with_fusion());
-  ASSERT_TRUE(fused.is_ok()) << fused.status().to_string();
-  EXPECT_FALSE(fused->used_compiled_replay);
-  Result<Prediction> rebuilt =
-      session->predict(whatif().with_data_parallelism(2));
-  ASSERT_TRUE(rebuilt.is_ok()) << rebuilt.status().to_string();
-  EXPECT_FALSE(rebuilt->used_compiled_replay);
+  const auto identity = std::make_shared<IdentityHooks>();
+  const std::vector<std::pair<std::string, Scenario>> cases = {
+      {"fusion", whatif().with_fusion()},
+      {"dp=4", whatif().with_data_parallelism(4)},
+      {"pp=4", whatif().with_pipeline_parallelism(4)},
+      {"without InterStream",
+       whatif().without_dependencies(core::DepType::InterStream)},
+  };
+  for (const auto& [label, derived] : cases) {
+    SCOPED_TRACE(label);
+    Result<Prediction> fast = session->predict(derived);
+    Scenario hooked = derived;
+    hooked.with_hooks(identity);
+    Result<Prediction> reference = session->predict(hooked);
+    ASSERT_TRUE(fast.is_ok()) << fast.status().to_string();
+    ASSERT_TRUE(reference.is_ok()) << reference.status().to_string();
+    EXPECT_TRUE(fast->used_compiled_replay);
+    EXPECT_FALSE(reference->used_compiled_replay);
+    expect_same_sim(fast->sim, reference->sim);
+  }
+
+  // A rebuild plus a duration-only fault plan runs the derived program
+  // over the plan's column. Hooks and faults are exclusive on one what-if,
+  // so the reference is the interpreter over the same rebuilt graph with
+  // the plan's column hooks, built the way predict_on builds it.
+  const faults::FaultSpec spec =
+      faults::FaultSpec().slow_rank(0, 2.0).with_jitter(0.1).with_seed(7);
+  Result<Prediction> faulted =
+      session->predict(whatif().with_data_parallelism(4).with_faults(spec));
+  ASSERT_TRUE(faulted.is_ok()) << faulted.status().to_string();
+  EXPECT_TRUE(faulted->used_compiled_replay);
+  Result<BaselineArtifacts> base = session->share_baseline();
+  ASSERT_TRUE(base.is_ok());
+  workload::ParallelConfig target = *base->config;
+  target.dp = 4;
+  const core::ExecutionGraph rebuilt =
+      core::GraphManipulator(*base->graph, *base->model, *base->config,
+                             cost::KernelPerfModel(base->scenario.hardware()),
+                             base->scenario.build_options())
+          .with_spec(*base->model, target)
+          .graph;
+  const faults::FaultPlan plan = faults::FaultPlan::lower(rebuilt, spec);
+  ASSERT_TRUE(plan.ok()) << plan.error();
+  ASSERT_TRUE(plan.compiled_eligible());
+  faults::ColumnHooks column = plan.make_hooks();
+  core::SimOptions options;
+  options.couple_collectives = true;
+  options.hooks = &column;
+  expect_same_sim(faulted->sim, core::Simulator(rebuilt, options).run());
+
+  // Without intra-stream chains two tasks share a lane with no path
+  // ordering them: the compile falls back (kUnorderedLane) and the
+  // interpreter answers the what-if.
+  const Scenario unordered_whatif =
+      whatif().without_dependencies(core::DepType::IntraStream);
+  EXPECT_EQ(core::ReplayCompiler::compile(
+                base->graph->without_edges(core::DepType::IntraStream))
+                .status,
+            core::ReplayCompileStatus::kUnorderedLane);
+  Result<Prediction> unordered = session->predict(unordered_whatif);
+  ASSERT_TRUE(unordered.is_ok()) << unordered.status().to_string();
+  EXPECT_FALSE(unordered->used_compiled_replay);
+  EXPECT_TRUE(unordered->sim.complete());
 }
 
 TEST(FacadeCompiledReplay, SweepCountsCompiledReplays) {
@@ -709,9 +800,10 @@ TEST(FacadeCompiledReplay, SweepCountsCompiledReplays) {
   ASSERT_TRUE(sequential.is_ok());
   ASSERT_TRUE(parallel.is_ok());
   // The two no-op variants reuse the baseline's one-time compile; the fused
-  // variant rebuilt structure and took the interpreter.
-  EXPECT_EQ(sequential->compiled_replays, 2u);
-  EXPECT_EQ(parallel->compiled_replays, 2u);
+  // variant derives a new graph, which compiles its own program, so every
+  // row counts.
+  EXPECT_EQ(sequential->compiled_replays, 3u);
+  EXPECT_EQ(parallel->compiled_replays, 3u);
   ASSERT_EQ(sequential->rows.size(), parallel->rows.size());
   for (std::size_t i = 0; i < sequential->rows.size(); ++i) {
     ASSERT_TRUE(sequential->rows[i].ok());
