@@ -22,6 +22,7 @@
 #include <map>
 #include <random>
 
+#include "analysis/breakdown.h"
 #include "analysis/interval_merge.h"
 #include "cluster/ground_truth.h"
 #include "core/graph_manipulator.h"
@@ -173,6 +174,45 @@ void BM_RebuildReplayCompiled(benchmark::State& state) {
   state.counters["tasks"] = static_cast<double>(graph.size());
 }
 BENCHMARK(BM_RebuildReplayCompiled)->Unit(benchmark::kMillisecond);
+
+// The fig7 grid's pp=4 DP family, the unit a Sweep runs for four grid
+// points: one rebuild that also prices dp {8, 16, 32}, one compile, then a
+// compiled run plus breakdown for each of dp {4, 8, 16, 32}. Against four
+// BM_Rebuild + BM_RebuildReplayCompiled rounds, this is what DP families
+// save.
+void BM_RebuildFamily(benchmark::State& state) {
+  const workload::ModelSpec model = workload::ModelSpec::gpt3_15b();
+  fig7_baseline();
+  std::size_t tasks = 0;
+  for (auto _ : state) {
+    const cost::KernelPerfModel kernel_model;
+    core::GraphManipulator manipulator(fig7_baseline(), model,
+                                       fig7_base_config(), kernel_model);
+    workload::ParallelConfig config = fig7_base_config();
+    config.pp = 4;
+    const workload::BuiltJob job =
+        manipulator.with_spec(model, config, {8, 16, 32});
+    core::ReplayCompiler::Result compiled =
+        core::ReplayCompiler::compile(job.graph);
+    if (!compiled) {
+      state.SkipWithError(core::to_string(compiled.status));
+      return;
+    }
+    analysis::Breakdown b =
+        analysis::compute_breakdown(job.graph, compiled.program->run());
+    benchmark::DoNotOptimize(b);
+    for (const std::vector<std::int64_t>& column : job.sibling_durations) {
+      b = analysis::compute_breakdown(job.graph,
+                                      compiled.program->run(column));
+      benchmark::DoNotOptimize(b);
+    }
+    tasks = job.graph.size();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(tasks) * 4 *
+                          state.iterations());
+  state.counters["tasks"] = static_cast<double>(tasks);
+}
+BENCHMARK(BM_RebuildFamily)->Unit(benchmark::kMillisecond);
 
 void BM_TraceParse(benchmark::State& state) {
   const auto& run = cached_run(static_cast<std::int32_t>(state.range(0)));

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -113,12 +114,14 @@ Result<core::SimulatorHooks*> instantiate_hooks(
 /// fallback, and then never recompiled per call); any other graph is
 /// derived from it and compiles its own program here, running the
 /// interpreter when that compile falls back. Both paths are bit-identical
-/// (test_replay_program). `compiled`, when given, reports which one ran.
-core::SimResult simulate(const BaselineArtifacts& base,
-                         const core::ExecutionGraph& graph,
-                         core::SimulatorHooks* hooks,
-                         const faults::FaultPlan* plan,
-                         bool* compiled = nullptr) {
+/// (test_replay_program). `compiled`, when given, reports which one ran;
+/// `ran`, when given, receives the program that ran (null for the
+/// interpreter).
+core::SimResult simulate(
+    const BaselineArtifacts& base, const core::ExecutionGraph& graph,
+    core::SimulatorHooks* hooks, const faults::FaultPlan* plan,
+    bool* compiled = nullptr,
+    std::shared_ptr<const core::ReplayProgram>* ran = nullptr) {
   const bool eligible =
       hooks == nullptr && (plan == nullptr || plan->compiled_eligible());
   std::shared_ptr<const core::ReplayProgram> program;
@@ -130,6 +133,7 @@ core::SimResult simulate(const BaselineArtifacts& base,
   const bool use_program = program != nullptr && program->coupled();
   if (compiled != nullptr) *compiled = use_program;
   if (use_program) {
+    if (ran != nullptr) *ran = program;
     return plan == nullptr ? program->run() : program->run(plan->durations());
   }
   core::SimOptions options;
@@ -421,8 +425,40 @@ Result<Prediction> Session::predict_internal(const Scenario& whatif) {
   return out;
 }
 
-Result<Prediction> predict_on(const BaselineArtifacts& base,
-                              const Scenario& whatif) {
+namespace {
+
+/// What a DP family's leader leaves for its siblings: the rebuilt graph,
+/// the program it compiled (null when it fell back) and one duration
+/// column per sibling.
+struct FamilyBuild {
+  core::ExecutionGraph graph;
+  std::shared_ptr<const core::ReplayProgram> program;
+  std::vector<std::vector<std::int64_t>> sibling_durations;
+};
+
+/// The tail every prediction shares: an incomplete schedule is kDeadlock,
+/// a complete one gets its breakdown over the graph it ran on.
+Result<Prediction> finish(Prediction out, const core::ExecutionGraph& graph) {
+  if (!out.sim.complete()) {
+    return deadlock_error("prediction stuck with " +
+                          std::to_string(out.sim.stuck_tasks.size()) +
+                          " unfinished tasks");
+  }
+  // Aggregate report data is derived from the schedule + meta columns;
+  // the full predicted trace is never materialized here (Sweep rows would
+  // otherwise each hold a copy of every event).
+  out.breakdown = analysis::compute_breakdown(graph, out.sim);
+  return out;
+}
+
+/// predict_on's pipeline, leaving the graph it ran and the program it
+/// compiled in `build`. A rebuild also prices `sibling_dps` into `build`;
+/// predict_dp_family passes siblings for pp/dp-only what-ifs only, so the
+/// rebuilt graph is the one that runs.
+Result<Prediction> predict_member(const BaselineArtifacts& base,
+                                  const Scenario& whatif,
+                                  std::vector<std::int32_t> sibling_dps,
+                                  FamilyBuild& build) {
   if (base.graph == nullptr) {
     return failed_precondition_error(
         "baseline artifacts carry no execution graph; obtain them from "
@@ -469,7 +505,7 @@ Result<Prediction> predict_on(const BaselineArtifacts& base,
   // Pick the graph to simulate without copying the baseline unless a
   // manipulation actually produces a new one.
   Prediction out;
-  core::ExecutionGraph owned;
+  core::ExecutionGraph& owned = build.graph;
   const core::ExecutionGraph* to_run = base.graph.get();
   if (rebuilds) {
     if (!base.model || !base.config) {
@@ -493,9 +529,10 @@ Result<Prediction> predict_on(const BaselineArtifacts& base,
       core::GraphManipulator manipulator(*base.graph, *base.model,
                                          *base.config, kernel_model,
                                          base.scenario.build_options());
-      workload::BuiltJob job =
-          manipulator.with_spec(target_model, target_config);
+      workload::BuiltJob job = manipulator.with_spec(
+          target_model, target_config, std::move(sibling_dps));
       owned = std::move(job.graph);
+      build.sibling_durations = std::move(job.sibling_durations);
       to_run = &owned;
       out.model = std::move(job.model);
       out.config = job.config;
@@ -535,16 +572,80 @@ Result<Prediction> predict_on(const BaselineArtifacts& base,
   // program describes this run.
   out.sim = simulate(base, *to_run, *hooks,
                      whatif.faults() != nullptr ? &plan : nullptr,
-                     &out.used_compiled_replay);
-  if (!out.sim.complete()) {
-    return deadlock_error("prediction stuck with " +
-                          std::to_string(out.sim.stuck_tasks.size()) +
-                          " unfinished tasks");
+                     &out.used_compiled_replay, &build.program);
+  return finish(std::move(out), *to_run);
+}
+
+}  // namespace
+
+Result<Prediction> predict_on(const BaselineArtifacts& base,
+                              const Scenario& whatif) {
+  FamilyBuild build;
+  return predict_member(base, whatif, {}, build);
+}
+
+std::optional<std::int32_t> dp_family_pp(const BaselineArtifacts& base,
+                                         const Scenario& whatif) {
+  const bool pp_dp_only =
+      (whatif.new_pp() || whatif.new_dp()) && !whatif.new_tp() &&
+      !whatif.new_architecture() && !whatif.new_layers() &&
+      !whatif.new_hidden() && !whatif.fusion() &&
+      whatif.dropped_dependencies().empty() && whatif.hooks() == nullptr &&
+      whatif.hooks_name().empty() && whatif.faults() == nullptr &&
+      whatif.cost_model_name().empty() && whatif.validate_whatif().is_ok();
+  if (!pp_dp_only || !base.config) return std::nullopt;
+  return whatif.new_pp().value_or(base.config->pp);
+}
+
+std::vector<Result<Prediction>> predict_dp_family(
+    const BaselineArtifacts& base, std::span<const Scenario* const> members) {
+  std::vector<Result<Prediction>> out;
+  if (members.empty()) return out;
+  const std::optional<std::int32_t> pp = dp_family_pp(base, *members.front());
+  const bool family =
+      pp && members.size() > 1 &&
+      std::all_of(members.begin() + 1, members.end(),
+                  [&](const Scenario* member) {
+                    return dp_family_pp(base, *member) == pp;
+                  });
+  if (!family) {
+    for (const Scenario* member : members) {
+      out.push_back(predict_on(base, *member));
+    }
+    return out;
   }
-  // Aggregate report data is derived from the schedule + meta columns;
-  // the full predicted trace is never materialized here (Sweep rows would
-  // otherwise each hold a copy of every event).
-  out.breakdown = analysis::compute_breakdown(*to_run, out.sim);
+
+  std::vector<std::int32_t> sibling_dps;
+  for (const Scenario* member : members.subspan(1)) {
+    sibling_dps.push_back(member->new_dp().value_or(base.config->dp));
+  }
+  FamilyBuild build;
+  out.push_back(predict_member(base, *members.front(), sibling_dps, build));
+  if (!out.front().is_ok()) {
+    // A sibling's degree may be what failed the shared build; every member
+    // answers for itself.
+    out.front() = predict_on(base, *members.front());
+  }
+  // The leader's program replays a sibling's column only when it compiled
+  // and the column keeps the positivity the compile proved for its own.
+  bool shared = out.front().is_ok() && build.program != nullptr;
+  for (const std::vector<std::int64_t>& column : build.sibling_durations) {
+    shared = shared && std::all_of(column.begin(), column.end(),
+                                   [](std::int64_t ns) { return ns > 0; });
+  }
+  for (std::size_t k = 0; k < sibling_dps.size(); ++k) {
+    if (!shared) {
+      out.push_back(predict_on(base, *members[k + 1]));
+      continue;
+    }
+    Prediction sibling;
+    sibling.model = out.front()->model;
+    sibling.config = out.front()->config;
+    sibling.config.dp = sibling_dps[k];
+    sibling.sim = build.program->run(build.sibling_durations[k]);
+    sibling.used_compiled_replay = true;
+    out.push_back(finish(std::move(sibling), build.graph));
+  }
   return out;
 }
 

@@ -22,6 +22,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -120,6 +121,26 @@ void attach_replay_program(BaselineArtifacts& base);
 /// itself thread-safe.
 Result<Prediction> predict_on(const BaselineArtifacts& base,
                               const Scenario& whatif);
+
+/// The pipeline depth `whatif` rebuilds at when pp/dp changes are its only
+/// manipulations — the key of its DP family, see predict_dp_family; nullopt
+/// for any other what-if and when `base` has no known parallelism.
+std::optional<std::int32_t> dp_family_pp(const BaselineArtifacts& base,
+                                         const Scenario& whatif);
+
+/// predict_on for each of `members`, one result per member in order, with
+/// one graph build and one compile for a whole DP family: what-ifs with
+/// the same dp_family_pp, which differ only in dp. The first member's
+/// rebuild also prices every sibling's communication, its compiled program
+/// replays each sibling's duration column, and each sibling's breakdown is
+/// taken over the first member's graph (same lanes and ranks, rank ids
+/// aside). Every result equals predict_on of that member bit-for-bit. A
+/// member goes through predict_on on its own when the members are not one
+/// family, when the shared build fails (its own status then reports why),
+/// when the compile falls back or when a sibling duration is <= 0. Nothing
+/// outlives the call. Thread-safe like predict_on.
+std::vector<Result<Prediction>> predict_dp_family(
+    const BaselineArtifacts& base, std::span<const Scenario* const> members);
 
 class Session {
  public:

@@ -135,11 +135,14 @@ Status Sweep::add_parallelism_grid(const std::vector<std::int32_t>& pps,
   return add_parallelism_grid(labels);
 }
 
-SweepRow Sweep::run_item(const Item& item) const {
-  SweepRow row;
-  row.label = item.label;
-  row.scenario = item.scenario;
-  row.standalone = item.standalone;
+void Sweep::run_unit(std::size_t begin, std::size_t end,
+                     std::vector<SweepRow>& rows) const {
+  for (std::size_t i = begin; i < end; ++i) {
+    rows[i].label = items_[i].label;
+    rows[i].scenario = items_[i].scenario;
+    rows[i].standalone = items_[i].standalone;
+  }
+  const Item& item = items_[begin];
   try {
     if (item.standalone) {
       // Full independent pipeline: collect/load, parse, simulate. predict()
@@ -147,35 +150,45 @@ SweepRow Sweep::run_item(const Item& item) const {
       // baseline, so deadlocks surface as kDeadlock in this row only.
       Result<Session> session = Session::create(item.scenario);
       if (!session.is_ok()) {
-        row.status = session.status();
-        return row;
+        rows[begin].status = session.status();
+        return;
       }
       Result<Prediction> prediction = session->predict();
       if (!prediction.is_ok()) {
-        row.status = prediction.status();
-        return row;
+        rows[begin].status = prediction.status();
+        return;
       }
-      row.prediction = *std::move(prediction);
-    } else {
-      // Session::predict's contract: a what-if carries manipulations only.
-      if (Status status = item.scenario.validate_whatif(); !status.is_ok()) {
-        row.status = status;
-        return row;
+      rows[begin].prediction = *std::move(prediction);
+      return;
+    }
+    // Session::predict's contract: a what-if carries manipulations only.
+    if (Status status = item.scenario.validate_whatif(); !status.is_ok()) {
+      rows[begin].status = status;
+      return;
+    }
+    std::vector<const Scenario*> members;
+    for (std::size_t i = begin; i < end; ++i) {
+      members.push_back(&items_[i].scenario);
+    }
+    std::vector<Result<Prediction>> predictions =
+        predict_dp_family(base_, members);
+    for (std::size_t i = begin; i < end; ++i) {
+      Result<Prediction>& prediction = predictions[i - begin];
+      if (prediction.is_ok()) {
+        rows[i].prediction = *std::move(prediction);
+      } else {
+        rows[i].status = prediction.status();
       }
-      Result<Prediction> prediction = predict_on(base_, item.scenario);
-      if (!prediction.is_ok()) {
-        row.status = prediction.status();
-        return row;
-      }
-      row.prediction = *std::move(prediction);
     }
   } catch (const std::exception& e) {
     // predict_on converts exceptions at the facade boundary already; this
     // is the last-resort belt so a worker thread can never terminate.
-    row.status = internal_error(std::string("sweep variant '") + item.label +
-                                "': " + e.what());
+    for (std::size_t i = begin; i < end; ++i) {
+      rows[i].prediction.reset();
+      rows[i].status = internal_error(std::string("sweep variant '") +
+                                      items_[i].label + "': " + e.what());
+    }
   }
-  return row;
 }
 
 Result<SweepReport> Sweep::run(std::size_t workers) {
@@ -187,27 +200,43 @@ Result<SweepReport> Sweep::run(std::size_t workers) {
   SweepReport report;
   report.rows.resize(items_.size());
 
+  // Units: a contiguous run of what-ifs of one DP family (dp_family_pp) is
+  // one unit, built and compiled once; every other item is a unit of one.
+  // `bounds` holds each unit's first item, then items_.size().
+  std::vector<std::size_t> bounds;
+  std::optional<std::int32_t> previous;
+  for (std::size_t i = 0; i < items_.size(); ++i) {
+    const std::optional<std::int32_t> pp =
+        items_[i].standalone ? std::nullopt
+                             : dp_family_pp(base_, items_[i].scenario);
+    if (!pp || pp != previous) bounds.push_back(i);
+    previous = pp;
+  }
+  bounds.push_back(items_.size());
+  const std::size_t units = bounds.size() - 1;
+
   std::size_t pool_size = workers != 0
                               ? workers
                               : std::thread::hardware_concurrency();
   if (pool_size == 0) pool_size = 1;
-  pool_size = std::min(pool_size, items_.size());
+  pool_size = std::min(pool_size, units);
 
-  // Each worker claims the next unclaimed item and writes its own row slot;
-  // rows are keyed by submission index, so the gathered report is identical
-  // whatever the interleaving — run(1) is the bit-identity reference.
-  // Streaming callbacks fire in completion order, serialized under
+  // Each worker claims the next unclaimed unit and writes its own row
+  // slots; rows are keyed by submission index, so the gathered report is
+  // identical whatever the interleaving — run(1) is the bit-identity
+  // reference. Streaming callbacks fire per row in submission order within
+  // a unit and in completion order across units, serialized under
   // `stream_mutex` (the documented on_result lock discipline); they never
   // affect the gathered rows.
   std::atomic<std::size_t> next{0};
   Mutex stream_mutex;
-  const auto work = [this, &next, &report, &stream_mutex] {
-    for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-         i < items_.size();
-         i = next.fetch_add(1, std::memory_order_relaxed)) {
-      report.rows[i] = run_item(items_[i]);
-      if (on_result_) {
-        MutexLock lock(stream_mutex);
+  const auto work = [this, &next, &bounds, units, &report, &stream_mutex] {
+    for (std::size_t u = next.fetch_add(1, std::memory_order_relaxed);
+         u < units; u = next.fetch_add(1, std::memory_order_relaxed)) {
+      run_unit(bounds[u], bounds[u + 1], report.rows);
+      if (!on_result_) continue;
+      MutexLock lock(stream_mutex);
+      for (std::size_t i = bounds[u]; i < bounds[u + 1]; ++i) {
         try {
           on_result_(report.rows[i]);
         } catch (...) {

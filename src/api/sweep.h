@@ -16,10 +16,22 @@
 //   auto report = sweep->run();           // parallel across cores
 //   std::puts(report->to_string().c_str());
 //
+// Units of work: a contiguous run of what-ifs whose only manipulations are
+// pp/dp changes with the same target pp (dp_family_pp) is one DP family and
+// one unit: predict_dp_family builds and compiles the first member's graph
+// once, prices every sibling's communication in that same walk, and
+// replays the program on each sibling's duration column (a pp-major grid
+// is one family per pipeline depth, so the fig7 grid builds 4 graphs, not
+// 16). A member whose shared build fails, whose compile falls back or
+// whose duration column is not positive runs through predict_on alone.
+// Every other item is a unit of one. Nothing is cached beyond one unit of
+// one run().
+//
 // Guarantees:
 //  - Determinism: run(1) and run(K) produce bit-identical rows — the
-//    simulator is a pure function of (graph, variant) and rows are keyed by
-//    submission index, never by completion order.
+//    simulator is a pure function of (graph, variant), a family row equals
+//    predict_on of its own what-if, and rows are keyed by submission
+//    index, never by completion order.
 //  - Isolation: a variant that fails (malformed manipulation, deadlocked
 //    schedule, unknown registry name) records its Status in its own row and
 //    never poisons sibling variants; run() itself stays OK.
@@ -41,8 +53,9 @@
 namespace lumos::api {
 
 struct SweepOptions {
-  /// Worker threads for run(). 0 = one per hardware thread, capped at the
-  /// number of variants. 1 = the sequential reference loop.
+  /// Worker threads for run(). 0 = one per hardware thread; either way
+  /// capped at the number of units (DP families and single items). 1 = the
+  /// sequential reference loop.
   std::size_t workers = 0;
 };
 
@@ -74,8 +87,9 @@ struct SweepReport {
   /// Rows whose prediction ran a compiled ReplayProgram instead of the
   /// interpreter (Prediction::used_compiled_replay): the baseline's cached
   /// one for structure-preserving variants, or the variant's own for
-  /// rebuilt, fused and ablated graphs. Hooked rows and compile fallbacks
-  /// are not counted.
+  /// rebuilt, fused and ablated graphs — for a DP family, the one program
+  /// compiled for its first member, counted once per family row. Hooked
+  /// rows and compile fallbacks are not counted.
   std::size_t compiled_replays = 0;
 
   std::size_t succeeded() const { return ranking.size(); }
@@ -158,13 +172,15 @@ class Sweep {
   std::size_t size() const { return items_.size(); }
 
   /// Streaming results: `callback` is invoked once per variant as soon as
-  /// its row completes, before run() returns the gathered report.
+  /// its unit (a DP family or a single item) completes, before run()
+  /// returns the gathered report.
   ///
   /// Lock discipline: callbacks run on whichever worker thread finished the
-  /// variant, but strictly one at a time — the Sweep serializes them under
+  /// unit, but strictly one at a time — the Sweep serializes them under
   /// an internal mutex, so the callback itself needs no synchronization for
-  /// its own state. Invocation order is completion order (use
-  /// SweepReport's rows for submission order; they are unaffected). The
+  /// its own state. Invocation order is submission order within a unit and
+  /// completion order across units, so run(1) streams in submission order
+  /// (use SweepReport's rows for submission order; they are unaffected). The
   /// row reference is valid only for the duration of the call. The
   /// callback must not call back into this Sweep (run/add/on_result) —
   /// that would deadlock on the serialization mutex or race the pool.
@@ -204,7 +220,9 @@ class Sweep {
   Sweep(BaselineArtifacts base, SweepOptions options)
       : base_(std::move(base)), options_(options) {}
 
-  SweepRow run_item(const Item& item) const;
+  /// Fills rows [begin, end) — one unit: a DP family, or a single item.
+  void run_unit(std::size_t begin, std::size_t end,
+                std::vector<SweepRow>& rows) const;
 
   BaselineArtifacts base_;
   SweepOptions options_;

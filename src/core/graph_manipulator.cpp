@@ -19,9 +19,11 @@ GraphManipulator::GraphManipulator(const ExecutionGraph& profiled,
           template_options)) {}
 
 workload::BuiltJob GraphManipulator::rebuild(
-    const workload::ModelSpec& model, workload::ParallelConfig config) const {
+    const workload::ModelSpec& model, workload::ParallelConfig config,
+    std::vector<std::int32_t> sibling_dps) const {
   workload::IterationGraphBuilder builder(model, config, *provider_,
-                                          build_options_);
+                                          build_options_,
+                                          std::move(sibling_dps));
   return builder.build();
 }
 
@@ -83,20 +85,14 @@ workload::BuiltJob GraphManipulator::with_tensor_parallelism(
 }
 
 workload::BuiltJob GraphManipulator::with_spec(
-    const workload::ModelSpec& model, workload::ParallelConfig config) const {
+    const workload::ModelSpec& model, workload::ParallelConfig config,
+    std::vector<std::int32_t> sibling_dps) const {
   if (config.tp != base_config_.tp) {
     throw std::invalid_argument(
         "GraphManipulator: tensor-parallelism manipulation is not supported "
         "(see paper §3.4); re-profile with the desired TP degree instead");
   }
-  return rebuild(model, config);
-}
-
-SimResult GraphManipulator::predict(const workload::BuiltJob& job) {
-  SimOptions options;
-  options.couple_collectives = true;
-  Simulator sim(job.graph, options);
-  return sim.run();
+  return rebuild(model, config, std::move(sibling_dps));
 }
 
 }  // namespace lumos::core

@@ -26,9 +26,9 @@
 
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "core/execution_graph.h"
-#include "core/simulator.h"
 #include "core/template_provider.h"
 #include "costmodel/kernel_model.h"
 #include "workload/graph_builder.h"
@@ -79,19 +79,19 @@ class GraphManipulator {
   /// General form: rebuild with an arbitrary (model, config) pair — the
   /// composition of an architecture and a parallelism change. TP must match
   /// the base config (tensor-parallelism manipulation is unsupported).
-  workload::BuiltJob with_spec(const workload::ModelSpec& model,
-                               workload::ParallelConfig config) const;
-
-  /// Runs the coupled multi-rank prediction simulation for a manipulated
-  /// job and returns the result (paper: "predicting performance through
-  /// simulation").
-  static SimResult predict(const workload::BuiltJob& job);
+  /// `sibling_dps` rebuilds a DP family in one walk: the job also carries
+  /// the duration column of `config` at each of those dp degrees
+  /// (workload::IterationGraphBuilder). Predict a job with core::replay.
+  workload::BuiltJob with_spec(
+      const workload::ModelSpec& model, workload::ParallelConfig config,
+      std::vector<std::int32_t> sibling_dps = {}) const;
 
   const TemplateProvider& templates() const { return *provider_; }
 
  private:
   workload::BuiltJob rebuild(const workload::ModelSpec& model,
-                             workload::ParallelConfig config) const;
+                             workload::ParallelConfig config,
+                             std::vector<std::int32_t> sibling_dps = {}) const;
 
   workload::ModelSpec base_model_;
   workload::ParallelConfig base_config_;

@@ -35,6 +35,7 @@ struct CommPlacement {
   std::int32_t nodes_spanned = 1;  ///< distinct physical nodes covered
 
   bool crosses_nodes() const { return nodes_spanned > 1; }
+  bool operator==(const CommPlacement&) const = default;
 };
 
 class CollectiveCostModel {

@@ -107,6 +107,8 @@ struct CollectiveDesc {
   std::int64_t bytes = 0;         ///< payload size per rank
   std::int32_t group_size = 0;    ///< ranks in the communicator
   cost::CommPlacement placement;  ///< where the communicator's ranks sit
+
+  bool operator==(const CollectiveDesc&) const = default;
 };
 
 /// Semantic description of a GPU kernel the builder is about to emit.

@@ -1,6 +1,7 @@
 #include "workload/graph_builder.h"
 
 #include <array>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -21,13 +22,13 @@ enum class CommOp : std::uint8_t { AllReduce, Send, Recv };
 constexpr std::array<std::string_view, 3> kCommOpNames = {"allreduce", "send",
                                                           "recv"};
 
-/// The string ids of one build: the vocabulary interned into the graph's
+/// The shared state of one build: the vocabulary interned into the graph's
 /// pools once, up front, so rows are emitted with ids and no per-task
-/// string work.
+/// string work, and the DP family the walk prices communication for.
 class BuildContext {
  public:
-  explicit BuildContext(ExecutionGraph& graph)
-      : graph(graph), pools(*graph.pools()) {
+  BuildContext(ExecutionGraph& graph, std::vector<Placement> placements)
+      : graph(graph), pools(*graph.pools()), placements(std::move(placements)) {
     for (std::size_t i = 0; i < kOpNames.size(); ++i) {
       names_[i] = pools.names.intern(kOpNames[i]);
       apis_[i] = trace::cuda_api_from_name(kOpNames[i]);
@@ -64,6 +65,15 @@ class BuildContext {
 
   ExecutionGraph& graph;
   trace::TracePools& pools;
+  /// The leader's placement first, then one per sibling DP degree.
+  const std::vector<Placement> placements;
+  /// A sibling's duration where it differs from the leader's.
+  struct SiblingDuration {
+    TaskId task;
+    std::size_t sibling;
+    std::int64_t ns;
+  };
+  std::vector<SiblingDuration> sibling_durations;
 
  private:
   static void append(std::string& out, std::string_view s) { out += s; }
@@ -82,22 +92,25 @@ class BuildContext {
 /// ids encode per-rank launch order (required by the simulator's runtime
 /// dependency resolution). All per-rank state is dense: CPU threads and
 /// streams index small arrays, block instances index a flat ordinal table.
+///
+/// DP degree reaches the walk only through the communication descriptors
+/// (global rank, Placement and group sizes), so each communication site
+/// describes its kernel once per placement of the family; everything else
+/// is emitted once and shared.
 class RankBuilder {
  public:
   RankBuilder(BuildContext& ctx, DurationProvider& provider,
               const ModelSpec& model, const ParallelConfig& config,
-              const BuildOptions& options, const Placement& placement,
-              std::int32_t stage, std::int32_t tp_rank)
+              const BuildOptions& options, std::int32_t stage,
+              std::int32_t tp_rank)
       : ctx_(ctx),
         graph_(ctx.graph),
         provider_(provider),
         model_(model),
         config_(config),
         options_(options),
-        placement_(placement),
         stage_(stage),
         tp_rank_(tp_rank),
-        rank_(placement.global_rank({tp_rank, options.dp_rank, stage})),
         layers_per_stage_(model.num_layers / config.pp),
         microbatch_slots_(config.microbatches() + 1),
         tp_group_(ctx.group("tp_pp", stage, "_dp", options.dp_rank)),
@@ -106,6 +119,14 @@ class RankBuilder {
                       static_cast<std::size_t>(layers_per_stage_ + 1) *
                       static_cast<std::size_t>(microbatch_slots_),
                   {0, 0}) {
+    for (const Placement& p : ctx.placements) {
+      const std::int32_t rank =
+          p.global_rank({tp_rank, options.dp_rank, stage});
+      comms_.push_back({&p.config(), p.tp_placement(rank),
+                        p.pp_placement(rank), p.dp_placement(rank)});
+    }
+    rank_ = ctx.placements.front().global_rank(
+        {tp_rank, options.dp_rank, stage});
     last_cpu_.fill(kInvalidTask);
     pending_thread_dep_.fill(kInvalidTask);
     last_kernel_.fill(kInvalidTask);
@@ -224,9 +245,10 @@ class RankBuilder {
   };
 
   /// Emits a launch (cudaLaunchKernel) on `tid` plus the GPU kernel on
-  /// `stream`, linked by a fresh correlation id. Applies pending
+  /// `stream`, linked by a fresh correlation id, and stamps `desc` with the
+  /// block context and ordinal it was priced at. Applies pending
   /// inter-stream waits targeted at `stream`.
-  TaskId kernel(std::int32_t tid, KernelDesc desc, std::int64_t stream,
+  TaskId kernel(std::int32_t tid, KernelDesc& desc, std::int64_t stream,
                 EventCategory gpu_cat = EventCategory::Kernel,
                 const Comm* comm = nullptr) {
     desc.block = block_;
@@ -276,15 +298,33 @@ class RankBuilder {
     return kernel_id;
   }
 
-  /// A communication kernel on `stream`: desc + the row's collective ids.
+  /// Where this rank's communicators sit under one DP degree of the
+  /// family, resolved once per rank instead of per communication kernel.
+  struct Communicators {
+    const ParallelConfig* config;
+    cost::CommPlacement tp, pp, dp;
+  };
+
+  /// A communication kernel on `stream`: the row's collective ids, and
+  /// `describe(communicators)` pricing its payload for the leader and then
+  /// for every sibling DP degree. The provider is a function of the
+  /// descriptor, so a sibling whose payload matches the leader's keeps the
+  /// leader's duration unpriced.
+  template <class Describe>
   void comm_kernel(std::int32_t tid, OpName name, CommOp op,
                    std::uint32_t group, std::int64_t instance,
-                   CollectiveDesc collective, std::int64_t stream) {
+                   std::int64_t stream, const Describe& describe) {
     KernelDesc d;
     d.name = name;
-    d.collective = collective;
+    d.collective = describe(comms_.front());
     const Comm comm{op, group, instance};
-    kernel(tid, std::move(d), stream, EventCategory::Kernel, &comm);
+    const TaskId id = kernel(tid, d, stream, EventCategory::Kernel, &comm);
+    const CollectiveDesc leader = *d.collective;
+    for (std::size_t k = 1; k < comms_.size(); ++k) {
+      d.collective = describe(comms_[k]);
+      if (*d.collective == leader) continue;
+      ctx_.sibling_durations.push_back({id, k - 1, provider_.kernel_ns(d)});
+    }
   }
 
   /// cudaEventRecord on `src_stream` + cudaStreamWaitEvent on `dst_stream`:
@@ -340,7 +380,7 @@ class RankBuilder {
 
   /// A kernel on the compute stream, launched from `tid`.
   void compute(std::int32_t tid, KernelDesc desc) {
-    kernel(tid, std::move(desc), lanes::kComputeStream);
+    kernel(tid, desc, lanes::kComputeStream);
   }
   /// A framework op on `tid` followed by its compute-stream kernel.
   void op(std::int32_t tid, OpName name, KernelDesc desc) {
@@ -356,9 +396,10 @@ class RankBuilder {
     cpu(tid, op_name("c10d::allreduce_"));
     comm_kernel(tid, op_name("ncclDevKernel_AllReduce_Sum_bf16_RING"),
                 CommOp::AllReduce, tp_group_, tp_instance_++,
-                {cost::CollectiveKind::AllReduce, bytes, config_.tp,
-                 placement_.tp_placement(rank_)},
-                lanes::kTpStream);
+                lanes::kTpStream, [&](const Communicators& c) {
+                  return CollectiveDesc{cost::CollectiveKind::AllReduce,
+                                        bytes, config_.tp, c.tp};
+                });
     record_wait(tid, lanes::kTpStream, lanes::kComputeStream);
   }
 
@@ -379,11 +420,12 @@ class RankBuilder {
     cpu(tid, send ? op_name("c10d::send") : op_name("c10d::recv"));
     // Group names are unique per transfer, so every instance is 0.
     comm_kernel(tid, op_name("ncclDevKernel_SendRecv"),
-                send ? CommOp::Send : CommOp::Recv, group, 0,
-                {cost::CollectiveKind::SendRecv,
-                 tokens() * model_.d_model * dtype_bytes(), 2,
-                 placement_.pp_placement(rank_)},
-                stream);
+                send ? CommOp::Send : CommOp::Recv, group, 0, stream,
+                [&](const Communicators& c) {
+                  return CollectiveDesc{
+                      cost::CollectiveKind::SendRecv,
+                      tokens() * model_.d_model * dtype_bytes(), 2, c.pp};
+                });
     if (!send) {
       // Compute consumes the received tensor.
       record_wait(tid, stream, lanes::kComputeStream);
@@ -527,9 +569,11 @@ class RankBuilder {
     comm_kernel(lanes::kAutogradThread,
                 op_name("ncclDevKernel_AllReduce_Sum_bf16_RING"),
                 CommOp::AllReduce, dp_group_, dp_instance_++,
-                {cost::CollectiveKind::AllReduce, param_elems * dtype_bytes(),
-                 config_.dp, placement_.dp_placement(rank_)},
-                lanes::kDpStream);
+                lanes::kDpStream, [&](const Communicators& c) {
+                  return CollectiveDesc{cost::CollectiveKind::AllReduce,
+                                        param_elems * dtype_bytes(),
+                                        c.config->dp, c.dp};
+                });
   }
 
   void forward_pass(std::int32_t microbatch) {
@@ -627,19 +671,18 @@ class RankBuilder {
                    params * dtype_bytes()));
     record_wait(lanes::kMainThread, lanes::kComputeStream, lanes::kTpStream);
     cpu(lanes::kMainThread, op_name("c10d::allreduce_"));
-    {
-      cost::CommPlacement p;
-      p.group_size = config_.tp * config_.pp;
-      p.nodes_spanned =
-          std::max<std::int32_t>(1, config_.tp * config_.pp * config_.dp /
-                                        config_.gpus_per_node);
-      comm_kernel(lanes::kMainThread,
-                  op_name("ncclDevKernel_AllReduce_Sum_f32_RING"),
-                  CommOp::AllReduce, ctx_.group("mp_dp", options_.dp_rank), 0,
-                  {cost::CollectiveKind::AllReduce, 8, config_.tp * config_.pp,
-                   p},
-                  lanes::kTpStream);
-    }
+    comm_kernel(lanes::kMainThread,
+                op_name("ncclDevKernel_AllReduce_Sum_f32_RING"),
+                CommOp::AllReduce, ctx_.group("mp_dp", options_.dp_rank), 0,
+                lanes::kTpStream, [](const Communicators& comms) {
+                  const ParallelConfig& c = *comms.config;
+                  cost::CommPlacement placement;
+                  placement.group_size = c.tp * c.pp;
+                  placement.nodes_spanned = std::max<std::int32_t>(
+                      1, c.tp * c.pp * c.dp / c.gpus_per_node);
+                  return CollectiveDesc{cost::CollectiveKind::AllReduce, 8,
+                                        c.tp * c.pp, placement};
+                });
     record_wait(lanes::kMainThread, lanes::kTpStream, lanes::kComputeStream);
 
     // Fused Adam over the stage's parameter shard, in chunks the way
@@ -653,9 +696,10 @@ class RankBuilder {
                           params / kAdamChunks * 28));
     }
     cpu(lanes::kMainThread, op_name("Optimizer.zero_grad#Adam.zero_grad"));
-    kernel(lanes::kMainThread,
-           elementwise(op_name("Memset (Device)"), params * dtype_bytes()),
-           lanes::kComputeStream, EventCategory::Memset);
+    KernelDesc memset =
+        elementwise(op_name("Memset (Device)"), params * dtype_bytes());
+    kernel(lanes::kMainThread, memset, lanes::kComputeStream,
+           EventCategory::Memset);
     cpu(lanes::kMainThread, op_name("cudaDeviceSynchronize"),
         EventCategory::CudaRuntime);
   }
@@ -666,7 +710,6 @@ class RankBuilder {
   const ModelSpec& model_;
   const ParallelConfig& config_;
   const BuildOptions& options_;
-  const Placement& placement_;
   std::int32_t stage_;
   std::int32_t tp_rank_;
   std::int32_t rank_;
@@ -680,6 +723,7 @@ class RankBuilder {
   std::int32_t microbatch_ = -1;
 
   // per-rank construction state
+  std::vector<Communicators> comms_;  ///< the leader's first
   std::int64_t seq_ = 0;
   std::int64_t next_correlation_ = 1;
   std::int64_t next_cuda_event_ = 1;
@@ -699,29 +743,35 @@ class RankBuilder {
 
 }  // namespace
 
-IterationGraphBuilder::IterationGraphBuilder(ModelSpec model,
-                                             ParallelConfig config,
-                                             DurationProvider& provider,
-                                             BuildOptions options)
+IterationGraphBuilder::IterationGraphBuilder(
+    ModelSpec model, ParallelConfig config, DurationProvider& provider,
+    BuildOptions options, std::vector<std::int32_t> sibling_dps)
     : model_(std::move(model)),
       config_(config),
       provider_(provider),
-      options_(options) {}
+      options_(options),
+      sibling_dps_(std::move(sibling_dps)) {}
 
 BuiltJob IterationGraphBuilder::build() {
-  if (std::string err = config_.validate(model_); !err.empty()) {
-    throw std::invalid_argument("IterationGraphBuilder: " + err);
+  std::vector<Placement> placements{Placement(config_)};
+  for (std::int32_t dp : sibling_dps_) {
+    ParallelConfig sibling = config_;
+    sibling.dp = dp;
+    placements.emplace_back(sibling);
+  }
+  for (const Placement& p : placements) {
+    if (std::string err = p.config().validate(model_); !err.empty()) {
+      throw std::invalid_argument("IterationGraphBuilder: " + err);
+    }
   }
   BuiltJob job;
   job.model = model_;
   job.config = config_;
   job.options = options_;
-  Placement placement(config_);
-  BuildContext ctx(job.graph);
+  BuildContext ctx(job.graph, std::move(placements));
   for (std::int32_t stage = 0; stage < config_.pp; ++stage) {
     for (std::int32_t t = 0; t < config_.tp; ++t) {
-      RankBuilder rank(ctx, provider_, model_, config_, options_, placement,
-                       stage, t);
+      RankBuilder rank(ctx, provider_, model_, config_, options_, stage, t);
       rank.build();
       if (stage == 0 && t == 0) {
         // Ranks differ only in their boundary work (embedding, head, p2p),
@@ -737,6 +787,13 @@ BuiltJob IterationGraphBuilder::build() {
   // Build-time classification: materialize the columnar metadata from the
   // id columns before the job is handed out.
   job.graph.finalize();
+  const std::span<const std::int64_t> leader = job.graph.events().dur_column();
+  job.sibling_durations.assign(
+      sibling_dps_.size(),
+      std::vector<std::int64_t>(leader.begin(), leader.end()));
+  for (const BuildContext::SiblingDuration& d : ctx.sibling_durations) {
+    job.sibling_durations[d.sibling][static_cast<std::size_t>(d.task)] = d.ns;
+  }
   return job;
 }
 

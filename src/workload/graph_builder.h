@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "core/execution_graph.h"
 #include "workload/duration_provider.h"
@@ -56,15 +57,32 @@ struct BuiltJob {
   ModelSpec model;
   ParallelConfig config;
   BuildOptions options;
+  /// One task-duration column per sibling DP degree the build priced, in
+  /// the order asked for (see IterationGraphBuilder). Empty for a family of
+  /// one.
+  std::vector<std::vector<std::int64_t>> sibling_durations;
 };
 
+/// A DP family is a set of configs that differ only in dp. DP degree
+/// changes only communication pricing (DP bucket and grad-norm group sizes,
+/// and through the global rank the node placement of every communicator),
+/// so the family's graphs share edges, `ts`, lanes and rendezvous groups
+/// and differ only in their duration and rank columns. One walk builds the
+/// leader's graph and describes every communication kernel once per
+/// sibling degree, pricing it where the description differs from the
+/// leader's; a family of one (no siblings) is the plain build.
 class IterationGraphBuilder {
  public:
   IterationGraphBuilder(ModelSpec model, ParallelConfig config,
-                        DurationProvider& provider, BuildOptions options = {});
+                        DurationProvider& provider, BuildOptions options = {},
+                        std::vector<std::int32_t> sibling_dps = {});
 
-  /// Builds the iteration graph. Throws std::invalid_argument if the
-  /// config does not validate against the model.
+  /// Builds the iteration graph at `config`, plus one duration column per
+  /// sibling DP degree in BuiltJob::sibling_durations — each equal to the
+  /// duration column of a standalone build at that dp, given a provider
+  /// whose durations are a function of the descriptor (both here are). Throws
+  /// std::invalid_argument if the config, or a sibling's, does not
+  /// validate against the model.
   BuiltJob build();
 
  private:
@@ -72,6 +90,7 @@ class IterationGraphBuilder {
   ParallelConfig config_;
   DurationProvider& provider_;
   BuildOptions options_;
+  std::vector<std::int32_t> sibling_dps_;
 };
 
 }  // namespace lumos::workload

@@ -96,7 +96,7 @@ TEST(EndToEnd, PredictionDpScalingCompletes) {
   cost::KernelPerfModel km;
   core::GraphManipulator manip(graph, tiny_model(), tiny_config(2, 2, 2), km);
   workload::BuiltJob predicted = manip.with_data_parallelism(8);
-  core::SimResult result = core::GraphManipulator::predict(predicted);
+  core::SimResult result = core::replay(predicted.graph);
   EXPECT_TRUE(result.complete());
   EXPECT_GT(result.makespan_ns, 0);
 }
@@ -109,7 +109,7 @@ TEST(EndToEnd, PredictionPpScalingTracksActual) {
   core::GraphManipulator manip(graph, tiny_model(), tiny_config(2, 2, 2), km);
 
   workload::BuiltJob predicted = manip.with_pipeline_parallelism(4);
-  core::SimResult result = core::GraphManipulator::predict(predicted);
+  core::SimResult result = core::replay(predicted.graph);
   ASSERT_TRUE(result.complete());
 
   cluster::GroundTruthEngine target(tiny_model(), tiny_config(2, 4, 2));

@@ -5,6 +5,7 @@
 #include "analysis/metrics.h"
 #include "cluster/ground_truth.h"
 #include "core/graph_manipulator.h"
+#include "core/simulator.h"
 #include "core/template_provider.h"
 #include "core/trace_parser.h"
 #include "test_util.h"
@@ -48,7 +49,7 @@ TEST_F(ManipulatorFixture, IdentityRebuildReproducesIterationTime) {
   // land very close to the profiled iteration (the durations are the
   // profiled ones; only jitter averaging differs).
   workload::BuiltJob same = manip_->with_parallelism(2, 2);
-  SimResult predicted = GraphManipulator::predict(same);
+  SimResult predicted = replay(same.graph);
   ASSERT_TRUE(predicted.complete());
   const double err = analysis::percent_error(
       static_cast<double>(predicted.makespan_ns),
@@ -119,7 +120,7 @@ TEST_F(ManipulatorFixture, PpChangeRestagesLayers) {
 
 TEST_F(ManipulatorFixture, PpChangePredictionTracksActual) {
   workload::BuiltJob scaled = manip_->with_pipeline_parallelism(4);
-  SimResult predicted = GraphManipulator::predict(scaled);
+  SimResult predicted = replay(scaled.graph);
   ASSERT_TRUE(predicted.complete());
   const double err = analysis::percent_error(
       static_cast<double>(predicted.makespan_ns) / 1e6, actual_ms(2, 4, 2));
@@ -128,7 +129,7 @@ TEST_F(ManipulatorFixture, PpChangePredictionTracksActual) {
 
 TEST_F(ManipulatorFixture, CombinedScalingPredictionCompletes) {
   workload::BuiltJob scaled = manip_->with_parallelism(4, 8);
-  SimResult predicted = GraphManipulator::predict(scaled);
+  SimResult predicted = replay(scaled.graph);
   EXPECT_TRUE(predicted.complete());
 }
 
@@ -148,7 +149,7 @@ TEST_F(ManipulatorFixture, MoreLayersPredictionTracksActual) {
   workload::ModelSpec deeper_model = tiny_model();
   deeper_model.num_layers = 16;
   workload::BuiltJob deeper = manip_->with_num_layers(16);
-  SimResult predicted = GraphManipulator::predict(deeper);
+  SimResult predicted = replay(deeper.graph);
   ASSERT_TRUE(predicted.complete());
   const double err = analysis::percent_error(
       static_cast<double>(predicted.makespan_ns) / 1e6,
@@ -180,7 +181,7 @@ TEST_F(ManipulatorFixture, HiddenSizePredictionTracksActual) {
   wider_model.d_ff = 8192;
   wider_model.head_dim = 2048 / wider_model.num_heads;
   workload::BuiltJob wider = manip_->with_hidden_size(2048, 8192);
-  SimResult predicted = GraphManipulator::predict(wider);
+  SimResult predicted = replay(wider.graph);
   ASSERT_TRUE(predicted.complete());
   const double err = analysis::percent_error(
       static_cast<double>(predicted.makespan_ns) / 1e6,
@@ -214,7 +215,7 @@ TEST(TemplateProviderStandalone, FallsBackForUnseenKeys) {
   GraphManipulator manip(parsed, tiny_model(), tiny_config(2, 1, 2), km);
   workload::BuiltJob scaled = manip.with_pipeline_parallelism(2);
   EXPECT_GT(manip.templates().fallback_count(), 0u);
-  SimResult predicted = GraphManipulator::predict(scaled);
+  SimResult predicted = replay(scaled.graph);
   EXPECT_TRUE(predicted.complete());
 }
 

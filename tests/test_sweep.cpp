@@ -414,6 +414,118 @@ TEST(Sweep, OnResultSequentialRunStreamsInSubmissionOrder) {
             (std::vector<std::string>{"1x1x1", "1x2x1", "1x2x2"}));
 }
 
+// ---------------------------------------------------------------------------
+// DP families: one build and one compile per pipeline depth
+// ---------------------------------------------------------------------------
+
+// Every row of `report` equals predict_on of its own what-if, field by
+// field: a family member replayed on the leader's program is
+// indistinguishable from its own rebuild.
+void expect_rows_match_predict_on(const Sweep& sweep,
+                                  const SweepReport& report) {
+  for (const SweepRow& row : report.rows) {
+    SCOPED_TRACE("row " + row.label);
+    Result<Prediction> own = predict_on(sweep.baseline(), row.scenario);
+    ASSERT_EQ(row.ok(), own.is_ok()) << row.status.to_string();
+    if (!own.is_ok()) {
+      EXPECT_EQ(row.status, own.status());
+      continue;
+    }
+    const Prediction& p = *row.prediction;
+    EXPECT_EQ(p.sim.makespan_ns, own->sim.makespan_ns);
+    EXPECT_EQ(p.sim.start_ns, own->sim.start_ns);
+    EXPECT_EQ(p.sim.end_ns, own->sim.end_ns);
+    EXPECT_EQ(p.breakdown.exposed_compute_ns,
+              own->breakdown.exposed_compute_ns);
+    EXPECT_EQ(p.breakdown.overlapped_ns, own->breakdown.overlapped_ns);
+    EXPECT_EQ(p.breakdown.exposed_comm_ns, own->breakdown.exposed_comm_ns);
+    EXPECT_EQ(p.breakdown.other_ns, own->breakdown.other_ns);
+    EXPECT_EQ(p.config.label(), own->config.label());
+    EXPECT_EQ(p.used_compiled_replay, own->used_compiled_replay);
+  }
+}
+
+TEST(Sweep, DpFamiliesMatchPredictOnRowByRow) {
+  struct Grid {
+    Scenario base;
+    std::vector<std::int32_t> pps, dps;
+  };
+  const Grid grids[] = {
+      {tiny_base(), {1, 2, 4, 8}, {1, 2, 4, 8}},  // grid16()
+      {Scenario::synthetic().with_model("15b").with_parallelism("2x2x4"),
+       {2, 4},
+       {4, 8}},
+  };
+  for (const Grid& grid : grids) {
+    Result<Sweep> sweep = Sweep::create(grid.base);
+    ASSERT_TRUE(sweep.is_ok()) << sweep.status().to_string();
+    ASSERT_TRUE(sweep->add_parallelism_grid(grid.pps, grid.dps).is_ok());
+    for (const std::size_t workers : {1u, 4u}) {
+      SCOPED_TRACE("workers=" + std::to_string(workers));
+      Result<SweepReport> report = sweep->run(workers);
+      ASSERT_TRUE(report.is_ok()) << report.status().to_string();
+      EXPECT_EQ(report->succeeded(), grid.pps.size() * grid.dps.size());
+      // Every family row still counts as a compiled replay.
+      EXPECT_EQ(report->compiled_replays, report->rows.size());
+      expect_rows_match_predict_on(*sweep, *report);
+    }
+  }
+}
+
+TEST(Sweep, FusedAndFaultedWhatIfsBetweenDpSiblingsStayUnitsOfOne) {
+  // The fused and faulted rows rebuild at pp=2 like their neighbours but
+  // carry another manipulation, so they split the dp run into units of one
+  // and answer exactly as predict_on does.
+  Result<Sweep> sweep = Sweep::create(tiny_base());
+  ASSERT_TRUE(sweep.is_ok());
+  sweep->add("1x2x1", whatif().with_scaled_parallelism(2, 1));
+  sweep->add("fused", whatif().with_scaled_parallelism(2, 2).with_fusion());
+  sweep->add("1x2x2", whatif().with_scaled_parallelism(2, 2));
+  sweep->add("faulted",
+             whatif().with_scaled_parallelism(2, 2).with_faults(
+                 faults::FaultSpec().slow_rank(0, 1.5)));
+  sweep->add("1x2x4", whatif().with_scaled_parallelism(2, 4));
+  sweep->add("1x2x8", whatif().with_scaled_parallelism(2, 8));
+  const std::vector<std::string> submitted = {"1x2x1", "fused",   "1x2x2",
+                                              "faulted", "1x2x4", "1x2x8"};
+  std::vector<std::string> streamed;
+  sweep->on_result([&](const SweepRow& row) { streamed.push_back(row.label); });
+
+  Result<SweepReport> sequential = sweep->run(1);
+  ASSERT_TRUE(sequential.is_ok()) << sequential.status().to_string();
+  EXPECT_EQ(streamed, submitted);
+  EXPECT_EQ(sequential->succeeded(), submitted.size());
+  expect_rows_match_predict_on(*sweep, *sequential);
+  EXPECT_GT(sequential->rows[1].prediction->kernels_eliminated, 0u);
+  EXPECT_GT(sequential->rows[3].prediction->sim.makespan_ns,
+            sequential->rows[2].prediction->sim.makespan_ns);
+
+  streamed.clear();
+  Result<SweepReport> parallel = sweep->run(4);
+  ASSERT_TRUE(parallel.is_ok());
+  std::multiset<std::string> streamed_set(streamed.begin(), streamed.end());
+  EXPECT_EQ(streamed_set,
+            std::multiset<std::string>(submitted.begin(), submitted.end()));
+  expect_reports_bit_identical(*sequential, *parallel);
+}
+
+TEST(Sweep, InvalidDpFamilyGivesEveryMemberItsOwnStatus) {
+  // pp=3 does not divide the tiny model's 8 layers: the whole family fails
+  // validation, each member with its own status, as predict_on reports it.
+  Result<Sweep> sweep = Sweep::create(tiny_base());
+  ASSERT_TRUE(sweep.is_ok());
+  ASSERT_TRUE(sweep->add_parallelism_grid({3}, {1, 2, 4}).is_ok());
+  for (const std::size_t workers : {1u, 4u}) {
+    Result<SweepReport> report = sweep->run(workers);
+    ASSERT_TRUE(report.is_ok());
+    ASSERT_EQ(report->rows.size(), 3u);
+    for (const SweepRow& row : report->rows) {
+      EXPECT_EQ(row.status.code(), ErrorCode::kValidationError) << row.label;
+    }
+    expect_rows_match_predict_on(*sweep, *report);
+  }
+}
+
 TEST(Sweep, SharedBaselineOutlivesTheSession) {
   // BaselineArtifacts alias the session's caches via shared_ptr, so the
   // sweep stays valid after the session it was built over is gone.

@@ -2,7 +2,9 @@
 // pipeline schedules, and the iteration graph builder.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <span>
 
 #include "cluster/ground_truth.h"
 #include "core/graph_manipulator.h"
@@ -549,6 +551,72 @@ TEST(GraphBuilderGolden, TemplateRebuildsFromSeed1Baseline) {
   EXPECT_EQ(graph_digest(pp16.graph), 3024315026119453418ULL);
   // Cumulative over both rebuilds.
   EXPECT_EQ(manipulator.templates().fallback_count(), 9280u);
+}
+
+// A DP family rebuilt in one walk: every sibling's duration column is the
+// standalone build's at that dp, and everything the compiled program and
+// the breakdown read besides durations is the leader's. Fails first if a
+// builder change makes graph structure depend on dp.
+TEST(GraphBuilderGolden, DpFamilyMatchesStandaloneRebuilds) {
+  const ModelSpec model = ModelSpec::gpt3_15b();
+  cluster::GroundTruthEngine engine(model, fig7_base_config());
+  const core::ExecutionGraph profiled =
+      core::TraceParser().parse(engine.run_profiled(1).trace);
+  cost::KernelPerfModel kernel_model{cost::HardwareSpec::h100_cluster()};
+  core::GraphManipulator manipulator(profiled, model, fig7_base_config(),
+                                     kernel_model);
+  const std::vector<std::int32_t> siblings = {8, 16, 32};
+
+  for (const std::int32_t pp : {4, 16}) {
+    SCOPED_TRACE("pp=" + std::to_string(pp));
+    ParallelConfig config = fig7_base_config();
+    config.pp = pp;
+    const BuiltJob family = manipulator.with_spec(model, config, siblings);
+    const core::ExecutionGraph& leader = family.graph;
+    EXPECT_EQ(graph_digest(leader),
+              graph_digest(manipulator.with_parallelism(pp, 4).graph));
+    ASSERT_EQ(family.sibling_durations.size(), siblings.size());
+
+    const core::TaskMetaTable& lm = leader.meta();
+    for (std::size_t k = 0; k < siblings.size(); ++k) {
+      SCOPED_TRACE("dp=" + std::to_string(siblings[k]));
+      const BuiltJob standalone =
+          manipulator.with_parallelism(pp, siblings[k]);
+      const core::ExecutionGraph& g = standalone.graph;
+      ASSERT_EQ(g.size(), leader.size());
+      const std::span<const std::int64_t> dur = g.events().dur_column();
+      EXPECT_TRUE(std::equal(dur.begin(), dur.end(),
+                             family.sibling_durations[k].begin(),
+                             family.sibling_durations[k].end()));
+
+      EXPECT_EQ(g.edges(), leader.edges());
+      const std::span<const std::int64_t> ts = g.events().ts_column();
+      const std::span<const std::int64_t> leader_ts =
+          leader.events().ts_column();
+      EXPECT_TRUE(std::equal(ts.begin(), ts.end(), leader_ts.begin(),
+                             leader_ts.end()));
+      const core::TaskMetaTable& m = g.meta();
+      std::size_t lane_mismatches = 0;
+      for (std::size_t i = 0; i < g.size(); ++i) {
+        const auto id = static_cast<core::TaskId>(i);
+        if (m.lane(id) != lm.lane(id) ||
+            m.lanes().rank_index(m.lane(id)) !=
+                lm.lanes().rank_index(lm.lane(id)) ||
+            m.group_index(id) != lm.group_index(id)) {
+          ++lane_mismatches;
+        }
+      }
+      EXPECT_EQ(lane_mismatches, 0u);
+      ASSERT_EQ(m.collective_groups().size(), lm.collective_groups().size());
+      for (std::size_t gi = 0; gi < m.collective_groups().size(); ++gi) {
+        const core::CollectiveGroupMeta& a = m.collective_groups()[gi];
+        const core::CollectiveGroupMeta& b = lm.collective_groups()[gi];
+        ASSERT_EQ(m.group_view(a.group), lm.group_view(b.group));
+        ASSERT_EQ(a.instance, b.instance);
+        ASSERT_EQ(a.members, b.members);
+      }
+    }
+  }
 }
 
 }  // namespace
