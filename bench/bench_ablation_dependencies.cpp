@@ -6,8 +6,9 @@
 // dependency class by replaying the same parsed graph with one class
 // removed at a time, plus parser-level ablations of the two *inferred*
 // classes (inter-thread gaps, event-record/wait pairing). Graph-level drops
-// go through api::replay_graph, which — unlike Session::replay — returns
-// partial schedules so deadlocked ablations still report their makespan.
+// go through api::replay_graph, which replays with the same coupled
+// collectives as Session::replay but returns partial schedules, so
+// deadlocked ablations still report their makespan.
 #include <vector>
 
 #include "bench_common.h"
@@ -46,12 +47,10 @@ int main() {
         {"cpu-to-gpu (launch)", core::DepType::CpuToGpu},
         {"intra-stream (FIFO)", core::DepType::IntraStream},
     };
-    core::SimOptions coupled;
-    coupled.couple_collectives = true;
     for (const auto& [label, type] : drops) {
       core::ExecutionGraph ablated =
           (*e.session.graph())->without_edges(type);
-      Result<core::SimResult> r = api::replay_graph(ablated, coupled);
+      Result<core::SimResult> r = api::replay_graph(ablated);
       if (!r.is_ok()) {
         std::printf("  %-28s %s\n", label, r.status().to_string().c_str());
         continue;

@@ -109,7 +109,7 @@ Result<core::SimulatorHooks*> instantiate_hooks(
 /// predict_on and replay_faulted. A compiled program runs when no hooks are
 /// in play and the fault plan, if any, only rescales durations; dropout and
 /// contention (stuck-task scan, rendezvous concurrency signal) and hooks
-/// take the interpreter with coupled collectives. The program for
+/// take the interpreter. The program for
 /// `base.graph` is the baseline's cached one (null after a compile
 /// fallback, and then never recompiled per call); any other graph is
 /// derived from it and compiles its own program here, running the
@@ -130,14 +130,13 @@ core::SimResult simulate(
                   ? base.program
                   : core::ReplayCompiler::compile(graph).program;
   }
-  const bool use_program = program != nullptr && program->coupled();
+  const bool use_program = program != nullptr;
   if (compiled != nullptr) *compiled = use_program;
   if (use_program) {
     if (ran != nullptr) *ran = program;
     return plan == nullptr ? program->run() : program->run(plan->durations());
   }
   core::SimOptions options;
-  options.couple_collectives = true;
   options.hooks = hooks;
   std::optional<faults::ColumnHooks> fault_hooks;
   if (plan != nullptr) {
@@ -145,6 +144,40 @@ core::SimResult simulate(
     options.dropped_tasks = plan->dropped();
   }
   return core::Simulator(graph, options).run();
+}
+
+/// kDeadlock for an incomplete schedule of `graph`: "<what> stuck with N
+/// unfinished tasks", naming the lowest stuck task (id, rank, op name) and,
+/// when it is a rendezvous member, its group and how many of the group's
+/// members are stuck.
+Status deadlock_status(const std::string& what,
+                       const core::ExecutionGraph& graph,
+                       const core::SimResult& sim) {
+  const std::vector<core::TaskId>& stuck = sim.stuck_tasks;
+  const core::TaskMetaTable& meta = graph.meta();
+  const core::TaskId first = stuck.front();
+  const core::LaneTable& lanes = meta.lanes();
+  std::string message =
+      what + " stuck with " + std::to_string(stuck.size()) +
+      " unfinished tasks; lowest is task " + std::to_string(first) +
+      " (rank " +
+      std::to_string(lanes.rank_value(lanes.rank_index(meta.lane(first)))) +
+      ", " + std::string(meta.name_view(first)) + ")";
+  if (meta.is_coupled_collective(first)) {
+    const core::CollectiveGroupMeta& group =
+        meta.collective_groups()[static_cast<std::size_t>(
+            meta.group_index(first))];
+    const auto stuck_members = std::count_if(
+        group.members.begin(), group.members.end(), [&](core::TaskId m) {
+          return std::binary_search(stuck.begin(), stuck.end(), m);
+        });
+    message += " in rendezvous group " +
+               std::string(meta.group_view(group.group)) + "#" +
+               std::to_string(group.instance) + " with " +
+               std::to_string(stuck_members) + " of " +
+               std::to_string(group.members.size()) + " members stuck";
+  }
+  return deadlock_error(message);
 }
 
 /// True when `whatif` changes parallelism or architecture, i.e. predict_on
@@ -318,9 +351,7 @@ Status Session::ensure_replay() {
   core::SimResult result =
       simulate(base_, *base_.graph, *hooks, nullptr);
   if (!result.complete()) {
-    return deadlock_error("replay stuck with " +
-                          std::to_string(result.stuck_tasks.size()) +
-                          " unfinished tasks");
+    return deadlock_status("replay", *base_.graph, result);
   }
   replay_ = std::move(result);
   return Status::ok();
@@ -338,9 +369,7 @@ Status Session::ensure_dpro() {
   const core::ExecutionGraph dpro = baseline::dpro_graph(*base_.graph);
   core::SimResult result = simulate(base_, dpro, nullptr, nullptr);
   if (!result.complete()) {
-    return deadlock_error("dPRO replay stuck with " +
-                          std::to_string(result.stuck_tasks.size()) +
-                          " unfinished tasks");
+    return deadlock_status("dPRO replay", dpro, result);
   }
   dpro_ = std::move(result);
   return Status::ok();
@@ -440,9 +469,7 @@ struct FamilyBuild {
 /// a complete one gets its breakdown over the graph it ran on.
 Result<Prediction> finish(Prediction out, const core::ExecutionGraph& graph) {
   if (!out.sim.complete()) {
-    return deadlock_error("prediction stuck with " +
-                          std::to_string(out.sim.stuck_tasks.size()) +
-                          " unfinished tasks");
+    return deadlock_status("prediction", graph, out.sim);
   }
   // Aggregate report data is derived from the schedule + meta columns;
   // the full predicted trace is never materialized here (Sweep rows would

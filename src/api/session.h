@@ -332,6 +332,8 @@ Result<std::uint64_t> peek_snapshot_content_hash(const std::string& path);
 
 /// Replays a caller-built execution graph through the facade's error
 /// handling: kCyclicGraph when the fixed-dependency graph is not a DAG.
+/// Collectives rendezvous exactly as in Session::replay, so with default
+/// options both return the same schedule for the same graph.
 /// Deadlocks are *not* an error here — the returned SimResult carries
 /// stuck_tasks so ablation studies can inspect partial schedules; use
 /// Session::replay()/predict() for deadlock-as-error semantics.

@@ -39,10 +39,7 @@ core::ExecutionGraph dpro_graph(const core::ExecutionGraph& graph) {
 core::SimResult replay_dpro(const core::ExecutionGraph& graph) {
   // dPRO also builds a global (cross-worker) dataflow graph, so collective
   // coupling stays on; only the inter-stream dependencies are lost.
-  core::ExecutionGraph stripped = dpro_graph(graph);
-  core::SimOptions options;
-  options.couple_collectives = true;
-  return core::Simulator(stripped, options).run();
+  return core::replay(dpro_graph(graph));
 }
 
 }  // namespace lumos::baseline

@@ -149,7 +149,6 @@ GroundTruthRun GroundTruthEngine::run() const {
 
   GroundTruthHooks hooks(options_);
   core::SimOptions sim_options;
-  sim_options.couple_collectives = true;
   sim_options.hooks = &hooks;
   core::Simulator sim(out.job.graph, sim_options);
   out.result = sim.run();

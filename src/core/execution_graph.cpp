@@ -215,12 +215,22 @@ bool ExecutionGraph::is_acyclic(TaskId* cycle_hint) const {
   }
   if (processed == size()) return true;
   if (cycle_hint != nullptr) {
-    for (std::size_t i = 0; i < deg.size(); ++i) {
-      if (deg[i] > 0) {
-        *cycle_hint = static_cast<TaskId>(i);
-        break;
-      }
+    // A leftover task may only sit downstream of a cycle, but every
+    // leftover task has a leftover predecessor: walking those from the
+    // lowest leftover task must revisit a task, and the first one
+    // revisited is on a cycle.
+    const auto left = [&deg](TaskId id) {
+      return deg[static_cast<std::size_t>(id)] > 0;
+    };
+    TaskId t = 0;
+    while (!left(t)) ++t;
+    std::vector<bool> seen(deg.size(), false);
+    while (!seen[static_cast<std::size_t>(t)]) {
+      seen[static_cast<std::size_t>(t)] = true;
+      const std::span<const TaskId> preds = predecessors(t);
+      t = *std::find_if(preds.begin(), preds.end(), left);
     }
+    *cycle_hint = t;
   }
   return false;
 }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <queue>
 #include <utility>
 
 #include "core/execution_graph.h"
@@ -123,57 +122,11 @@ SimResult ReplayProgram::run(std::span<const std::int64_t> durations) const {
 
 namespace {
 
-/// Compile-time scaffolding: the ordering graph over task nodes
-/// [0, n) plus rendezvous-group nodes [n, n + groups), in CSR form.
-struct OrderingGraph {
-  std::vector<std::int32_t> offsets;  ///< size node_count + 1
-  std::vector<std::int32_t> heads;
-  std::span<const std::int32_t> out(std::int32_t node) const {
-    const auto i = static_cast<std::size_t>(node);
-    return {heads.data() + offsets[i],
-            static_cast<std::size_t>(offsets[i + 1] - offsets[i])};
-  }
-};
-
-/// Breadth-first reachability `from => to`, pruned to topological positions
-/// <= pos[to] (every ordering edge goes forward in topo position, so the
-/// pruning is exact, not a heuristic). `budget` bounds visited nodes;
-/// exceeding it reports "not proven". Parser/builder lanes carry direct
-/// intra-lane chain edges, so in practice this terminates within one or two
-/// expansions.
-class ReachChecker {
- public:
-  ReachChecker(const OrderingGraph& graph,
-               const std::vector<std::int32_t>& pos, std::size_t nodes)
-      : graph_(graph), pos_(pos), stamp_(nodes, 0) {}
-
-  bool proven(std::int32_t from, std::int32_t to, std::size_t budget) {
-    ++epoch_;
-    frontier_.clear();
-    frontier_.push_back(from);
-    stamp_[static_cast<std::size_t>(from)] = epoch_;
-    const std::int32_t limit = pos_[static_cast<std::size_t>(to)];
-    std::size_t visited = 1;
-    for (std::size_t head = 0; head < frontier_.size(); ++head) {
-      for (const std::int32_t next : graph_.out(frontier_[head])) {
-        if (next == to) return true;
-        const auto i = static_cast<std::size_t>(next);
-        if (pos_[i] > limit || stamp_[i] == epoch_) continue;
-        if (++visited > budget) return false;
-        stamp_[i] = epoch_;
-        frontier_.push_back(next);
-      }
-    }
-    return false;
-  }
-
- private:
-  const OrderingGraph& graph_;
-  const std::vector<std::int32_t>& pos_;
-  std::vector<std::uint32_t> stamp_;
-  std::uint32_t epoch_ = 0;
-  std::vector<std::int32_t> frontier_;
-};
+/// Node budget for each lane-order path proof. Every parser/builder lane
+/// carries direct intra-lane chain edges (found within one or two
+/// expansions), so the budget only bounds pathological hand-built graphs,
+/// which fall back to the interpreter.
+constexpr std::size_t kLaneProofBudget = 4096;
 
 /// Invokes `emit(blocker)` for every statically resolved runtime
 /// dependency of `t` — the exact task Simulator's runtime_blocker() probe
@@ -210,10 +163,18 @@ void for_each_sync_blocker(const TaskMetaTable& meta, TaskId t, Emit&& emit) {
   }
 }
 
+/// Invokes `visit(operand)` for every effective predecessor of `t`: its
+/// fixed predecessors, then its sync blockers.
+template <typename Visit>
+void for_each_operand(const ExecutionGraph& graph, const TaskMetaTable& meta,
+                      TaskId t, Visit&& visit) {
+  for (const TaskId pred : graph.predecessors(t)) visit(pred);
+  for_each_sync_blocker(meta, t, visit);
+}
+
 }  // namespace
 
-ReplayCompiler::Result ReplayCompiler::compile(const ExecutionGraph& graph,
-                                               const Options& options) {
+ReplayCompiler::Result ReplayCompiler::compile(const ExecutionGraph& graph) {
   const auto fallback = [](ReplayCompileStatus status) {
     return Result{nullptr, status};
   };
@@ -223,7 +184,6 @@ ReplayCompiler::Result ReplayCompiler::compile(const ExecutionGraph& graph,
   auto program = std::make_shared<ReplayProgram>();
   program->task_count_ = n;
   program->lane_count_ = meta.lanes().size();
-  program->coupled_ = options.couple_collectives;
   if (n == 0) {
     return Result{std::move(program), ReplayCompileStatus::kCompiled};
   }
@@ -232,183 +192,188 @@ ReplayCompiler::Result ReplayCompiler::compile(const ExecutionGraph& graph,
   // lane cursor are exact only when every duration is strictly positive
   // (a zero-duration task can insert equal-key heap entries mid-pop and
   // reorder the interpreter's equal-arrival parking).
-  for (std::size_t i = 0; i < n; ++i) {
-    if (meta.duration_ns(static_cast<TaskId>(i)) <= 0) {
-      return fallback(ReplayCompileStatus::kNonPositiveDuration);
-    }
-  }
-
-  // Rendezvous-group nodes (coupled mode only). group_node[t] is the
-  // ordering-graph node representing "t's whole group has completed";
-  // out-edges of a member are re-sourced from it because every member ends
-  // at the group end.
-  const auto& groups = meta.collective_groups();
-  const bool coupled = options.couple_collectives;
-  const std::size_t group_count = coupled ? groups.size() : 0;
-  const std::size_t node_count = n + group_count;
-  std::vector<std::int32_t> group_node(n, -1);
-  if (coupled) {
-    for (std::size_t gi = 0; gi < groups.size(); ++gi) {
-      if (groups[gi].members.empty()) {
-        return fallback(ReplayCompileStatus::kCyclic);
-      }
-      for (const TaskId m : groups[gi].members) {
-        // Defensive: a member the simulator would not park (not flagged
-        // coupled) leaves the rendezvous forever incomplete — the
-        // interpreter deadlocks, which is the cyclic fallback's domain.
-        if (!meta.is_coupled_collective(m) ||
-            meta.group_index(m) != static_cast<std::int32_t>(gi)) {
-          return fallback(ReplayCompileStatus::kCyclic);
-        }
-        group_node[static_cast<std::size_t>(m)] =
-            static_cast<std::int32_t>(n + gi);
-      }
-    }
-  }
-  const auto source_node = [&group_node](TaskId t) {
-    const std::int32_t g = group_node[static_cast<std::size_t>(t)];
-    return g >= 0 ? g : static_cast<std::int32_t>(t);
-  };
-
-  // Ordering edges: fixed edges and sync edges re-sourced through group
-  // nodes, plus member -> group arrival edges.
-  std::vector<std::pair<std::int32_t, std::int32_t>> order_edges;
-  order_edges.reserve(graph.edges().size() + n / 4 + group_count * 2);
-  for (const Edge& e : graph.edges()) {
-    order_edges.emplace_back(source_node(e.src),
-                             static_cast<std::int32_t>(e.dst));
-  }
+  std::size_t coupled = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const auto t = static_cast<TaskId>(i);
-    for_each_sync_blocker(meta, t, [&](TaskId blocker) {
-      order_edges.emplace_back(source_node(blocker),
-                               static_cast<std::int32_t>(t));
-    });
-    if (group_node[i] >= 0) {
-      order_edges.emplace_back(static_cast<std::int32_t>(t), group_node[i]);
+    if (meta.duration_ns(t) <= 0) {
+      return fallback(ReplayCompileStatus::kNonPositiveDuration);
     }
+    coupled += meta.is_coupled_collective(t) ? 1 : 0;
   }
 
-  // CSR ordering graph plus Kahn in-degrees; the edge list is released
-  // once both are built so it does not stay resident through emission.
-  OrderingGraph order;
-  std::vector<std::int32_t> in_degree(node_count, 0);
-  {
-    std::vector<std::int32_t> counts(node_count + 1, 0);
-    for (const auto& [src, dst] : order_edges) {
-      ++counts[static_cast<std::size_t>(src) + 1];
-      ++in_degree[static_cast<std::size_t>(dst)];
+  // Defensive: the member lists must hold exactly the coupled collectives,
+  // each in the group its meta names, because node_of() below indexes
+  // groups by that name. Any other table is a rendezvous the compiled
+  // program cannot mirror; it falls back like a deadlock.
+  const auto& groups = meta.collective_groups();
+  std::size_t members = 0;
+  for (std::size_t gi = 0; gi < groups.size(); ++gi) {
+    if (groups[gi].members.empty()) {
+      return fallback(ReplayCompileStatus::kCyclic);
     }
-    for (std::size_t i = 1; i <= node_count; ++i) counts[i] += counts[i - 1];
-    order.offsets = std::move(counts);  // now the final offsets
-    order.heads.resize(order_edges.size());
-    std::vector<std::int32_t> cursor(order.offsets.begin(),
-                                     order.offsets.end() - 1);
-    for (const auto& [src, dst] : order_edges) {
-      order.heads[static_cast<std::size_t>(
-          cursor[static_cast<std::size_t>(src)]++)] = dst;
-    }
-    std::vector<std::pair<std::int32_t, std::int32_t>>().swap(order_edges);
-  }
-
-  // Kahn topological sort, min-node-id heap for a canonical instruction
-  // stream (any topo order evaluates the recurrence identically; the
-  // canonical one makes compiles deterministic byte-for-byte, and its
-  // id-local order keeps the compiled run cache-friendly).
-  std::vector<std::int32_t> topo;
-  topo.reserve(node_count);
-  std::priority_queue<std::int32_t, std::vector<std::int32_t>,
-                      std::greater<>>
-      ready;
-  for (std::size_t i = 0; i < node_count; ++i) {
-    if (in_degree[i] == 0) ready.push(static_cast<std::int32_t>(i));
-  }
-  while (!ready.empty()) {
-    const std::int32_t node = ready.top();
-    ready.pop();
-    topo.push_back(node);
-    for (const std::int32_t next : order.out(node)) {
-      if (--in_degree[static_cast<std::size_t>(next)] == 0) ready.push(next);
-    }
-  }
-  if (topo.size() != node_count) {
-    // A cycle through fixed, sync or rendezvous constraints: the
-    // interpreter deadlocks here and must stay in charge of stuck-task
-    // reporting.
-    return fallback(ReplayCompileStatus::kCyclic);
-  }
-  std::vector<std::int32_t> pos(node_count, 0);
-  for (std::size_t i = 0; i < node_count; ++i) {
-    pos[static_cast<std::size_t>(topo[i])] = static_cast<std::int32_t>(i);
-  }
-
-  // Lane-order proof: per lane, candidate order = topo position; every
-  // consecutive pair must be connected by a dependency path, which makes
-  // the order duration-invariant (and therefore the interpreter's order).
-  // One pass over `topo` visits each lane's tasks in that order, so `last`
-  // holds the previous task of every lane.
-  {
-    std::vector<TaskId> last(program->lane_count_, kInvalidTask);
-    ReachChecker checker(order, pos, node_count);
-    for (const std::int32_t node : topo) {
-      if (node >= static_cast<std::int32_t>(n)) continue;
-      const auto t = static_cast<TaskId>(node);
-      TaskId& prev = last[static_cast<std::size_t>(meta.lane(t))];
-      if (prev != kInvalidTask &&
-          !checker.proven(static_cast<std::int32_t>(prev), node,
-                          options.lane_check_budget)) {
-        return fallback(ReplayCompileStatus::kUnorderedLane);
+    for (const TaskId m : groups[gi].members) {
+      if (!meta.is_coupled_collective(m) ||
+          meta.group_index(m) != static_cast<std::int32_t>(gi)) {
+        return fallback(ReplayCompileStatus::kCyclic);
       }
-      prev = t;
     }
+    members += groups[gi].members.size();
   }
+  if (members != coupled) return fallback(ReplayCompileStatus::kCyclic);
 
-  // Emission: one instruction per node in topo order. Operands are the
-  // *original* effective predecessor ids (fixed + sync): a predecessor
-  // that is a collective member has its end written by its rendezvous
-  // instruction, which the re-sourced ordering edge places earlier.
+  // Nodes: tasks [0, n), then one per rendezvous group. An operand that is
+  // a collective member resolves through its group's node, because every
+  // member ends at the group end.
+  const std::size_t node_count = n + groups.size();
+  const auto node_of = [&meta, n](TaskId t) -> std::int32_t {
+    return meta.is_coupled_collective(t)
+               ? static_cast<std::int32_t>(n) + meta.group_index(t)
+               : static_cast<std::int32_t>(t);
+  };
+  const auto for_each_input = [&](TaskId t, auto&& visit) {
+    for_each_operand(graph, meta, t,
+                     [&](TaskId operand) { visit(node_of(operand)); });
+  };
+
+  // Emission: one walk over task ids. pos[node] is the node's instruction
+  // index once emitted (-1 before), so it doubles as the resolved flag. A
+  // task with an unresolved operand waits on the first one, in an
+  // intrusive list (wait_head per node, threaded through next_waiter), and
+  // is revisited when that node resolves. Instruction operands are the
+  // *original* operand ids: a collective member's end is written by its
+  // rendezvous, which resolving through the group node places earlier.
+  std::vector<std::int32_t> pos(node_count, -1);
+  std::vector<TaskId> wait_head(node_count, kInvalidTask);
+  std::vector<TaskId> next_waiter(n, kInvalidTask);
+  std::vector<std::uint32_t> arrived(groups.size(), 0);
+  std::vector<TaskId> ready;
   program->instrs_.reserve(node_count);
   program->operands_.reserve(graph.edges().size() + n / 4);
-  program->collective_count_ = group_count;
-  for (const std::int32_t node : topo) {
-    ReplayProgram::Instr ins;
-    if (node < static_cast<std::int32_t>(n)) {
-      const auto t = static_cast<TaskId>(node);
-      ins.op = group_node[static_cast<std::size_t>(t)] >= 0
-                   ? ReplayProgram::Op::kArrive
-                   : ReplayProgram::Op::kRun;
-      ins.lane = meta.lane(t);
-      ins.id = t;
-      ins.first = static_cast<std::uint32_t>(program->operands_.size());
-      for (const TaskId pred : graph.predecessors(t)) {
-        program->operands_.push_back(pred);
-      }
-      for_each_sync_blocker(meta, t, [&](TaskId blocker) {
-        program->operands_.push_back(blocker);
-      });
-      ins.count =
-          static_cast<std::uint32_t>(program->operands_.size()) - ins.first;
-    } else {
-      const auto gi = static_cast<std::size_t>(node) - n;
-      ins.op = ReplayProgram::Op::kRendezvous;
-      ins.id = static_cast<std::int32_t>(gi);
-      ins.first = static_cast<std::uint32_t>(program->members_.size());
-      for (const TaskId m : groups[gi].members) {
-        program->members_.push_back({m, meta.lane(m), meta.is_p2p(m)});
-      }
-      ins.count =
-          static_cast<std::uint32_t>(program->members_.size()) - ins.first;
-      std::sort(program->members_.begin() +
-                    static_cast<std::ptrdiff_t>(ins.first),
-                program->members_.end(),
-                [&meta](const ReplayProgram::Member& a,
-                        const ReplayProgram::Member& b) {
-                  const std::int64_t ta = meta.ts_ns(a.task);
-                  const std::int64_t tb = meta.ts_ns(b.task);
-                  return ta != tb ? ta < tb : a.task < b.task;
-                });
+  program->collective_count_ = groups.size();
+
+  const auto resolve = [&](std::int32_t node) {
+    const auto i = static_cast<std::size_t>(node);
+    pos[i] = static_cast<std::int32_t>(program->instrs_.size()) - 1;
+    for (TaskId w = wait_head[i]; w != kInvalidTask;
+         w = next_waiter[static_cast<std::size_t>(w)]) {
+      ready.push_back(w);
     }
+    wait_head[i] = kInvalidTask;
+  };
+  const auto emit = [&](TaskId t) {
+    const bool member = meta.is_coupled_collective(t);
+    ReplayProgram::Instr ins;
+    ins.op = member ? ReplayProgram::Op::kArrive : ReplayProgram::Op::kRun;
+    ins.lane = meta.lane(t);
+    ins.id = t;
+    ins.first = static_cast<std::uint32_t>(program->operands_.size());
+    for_each_operand(graph, meta, t, [&](TaskId operand) {
+      program->operands_.push_back(operand);
+    });
+    ins.count =
+        static_cast<std::uint32_t>(program->operands_.size()) - ins.first;
     program->instrs_.push_back(ins);
+    resolve(static_cast<std::int32_t>(t));
+    if (!member) return;
+
+    // A group's rendezvous follows its last member.
+    const auto gi = static_cast<std::size_t>(meta.group_index(t));
+    if (++arrived[gi] < groups[gi].members.size()) return;
+    ReplayProgram::Instr rv;
+    rv.op = ReplayProgram::Op::kRendezvous;
+    rv.id = static_cast<std::int32_t>(gi);
+    rv.first = static_cast<std::uint32_t>(program->members_.size());
+    for (const TaskId m : groups[gi].members) {
+      program->members_.push_back({m, meta.lane(m), meta.is_p2p(m)});
+    }
+    rv.count = static_cast<std::uint32_t>(groups[gi].members.size());
+    std::sort(program->members_.begin() +
+                  static_cast<std::ptrdiff_t>(rv.first),
+              program->members_.end(),
+              [&meta](const ReplayProgram::Member& a,
+                      const ReplayProgram::Member& b) {
+                const std::int64_t ta = meta.ts_ns(a.task);
+                const std::int64_t tb = meta.ts_ns(b.task);
+                return ta != tb ? ta < tb : a.task < b.task;
+              });
+    program->instrs_.push_back(rv);
+    resolve(static_cast<std::int32_t>(n + gi));
+  };
+
+  for (std::size_t i = 0; i < n; ++i) {
+    ready.push_back(static_cast<TaskId>(i));
+    while (!ready.empty()) {
+      const TaskId t = ready.back();
+      ready.pop_back();
+      std::int32_t blocked_on = -1;
+      for_each_input(t, [&](std::int32_t node) {
+        if (blocked_on < 0 && pos[static_cast<std::size_t>(node)] < 0) {
+          blocked_on = node;
+        }
+      });
+      if (blocked_on < 0) {
+        emit(t);
+        continue;
+      }
+      const auto b = static_cast<std::size_t>(blocked_on);
+      next_waiter[static_cast<std::size_t>(t)] = wait_head[b];
+      wait_head[b] = t;
+    }
+  }
+  if (program->instrs_.size() != node_count) {
+    // Some task never became ready: a cycle through fixed, sync or
+    // rendezvous constraints. The interpreter deadlocks here and must stay
+    // in charge of stuck-task reporting.
+    return fallback(ReplayCompileStatus::kCyclic);
+  }
+
+  // Lane-order proof, a second pass over the emitted stream: every pair of
+  // consecutive tasks on a lane must be connected by a dependency path,
+  // which makes the order duration-invariant (and therefore the
+  // interpreter's order). The search runs backwards from the later task
+  // through operands and group members; every such step goes to an earlier
+  // instruction, so nodes emitted before the earlier task cannot be on the
+  // path and are pruned exactly.
+  std::vector<TaskId> last(program->lane_count_, kInvalidTask);
+  std::vector<std::uint32_t> stamp(node_count, 0);
+  std::uint32_t epoch = 0;
+  std::vector<std::int32_t> frontier;
+  const auto proven = [&](TaskId before, TaskId after) {
+    ++epoch;
+    const std::int32_t limit = pos[static_cast<std::size_t>(before)];
+    frontier.assign(1, static_cast<std::int32_t>(after));
+    std::size_t visited = 1;
+    bool found = false;
+    const auto reach = [&](std::int32_t node) {
+      const auto i = static_cast<std::size_t>(node);
+      if (node == static_cast<std::int32_t>(before)) found = true;
+      if (found || pos[i] <= limit || stamp[i] == epoch) return;
+      stamp[i] = epoch;
+      ++visited;
+      frontier.push_back(node);
+    };
+    for (std::size_t head = 0; head < frontier.size(); ++head) {
+      const std::int32_t node = frontier[head];
+      if (node < static_cast<std::int32_t>(n)) {
+        for_each_input(static_cast<TaskId>(node), reach);
+      } else {
+        for (const TaskId m : groups[static_cast<std::size_t>(node) - n]
+                                  .members) {
+          reach(static_cast<std::int32_t>(m));
+        }
+      }
+      if (found) return true;
+      if (visited > kLaneProofBudget) return false;
+    }
+    return false;
+  };
+  for (const ReplayProgram::Instr& ins : program->instrs_) {
+    if (ins.op == ReplayProgram::Op::kRendezvous) continue;
+    TaskId& prev = last[static_cast<std::size_t>(ins.lane)];
+    if (prev != kInvalidTask && !proven(prev, ins.id)) {
+      return fallback(ReplayCompileStatus::kUnorderedLane);
+    }
+    prev = ins.id;
   }
 
   program->durations_.resize(n);

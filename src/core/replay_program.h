@@ -1,5 +1,5 @@
 // Compiled replay: lower a frozen ExecutionGraph into a flat replay
-// program (ROADMAP item 5).
+// program.
 //
 // The interpreter (core/simulator.h) re-derives the schedule order on every
 // run: a lazy priority queue picks tasks in nondecreasing start order,
@@ -12,31 +12,40 @@
 // property of the graph, and emits a flat instruction stream that a tight
 // dispatch loop evaluates as a pure recurrence over task end times:
 //
-//   1. Runtime dependencies become static edges. The blocker of a
+//   1. Runtime dependencies become static operands. The blocker of a
 //      cudaStream/EventSynchronize is "the last GPU task on the pre-resolved
 //      sync lane launched before the bound" — a pure function of the meta
 //      table, independent of durations. Same for cudaDeviceSynchronize
 //      (one blocker per GPU lane of the rank).
-//   2. Lane serialization becomes a static chain. For every pair of
-//      consecutive tasks (a, b) on one lane (candidate order = topological
-//      position) the compiler proves a dependency path a => b in the
-//      transformed graph; then *any* positive duration assignment executes
-//      a before b, so `lane_free` can be threaded through the instruction
+//   2. Collectives become rendezvous instructions. A collective member
+//      counts as finished only once its whole group has resolved (all
+//      members end together at the group end), member arrival order is
+//      pre-sorted by the interpreter's documented (profiled ts, task id)
+//      tie-break, and the last-arrival scan replicates the interpreter's
+//      strictly-greater max exactly.
+//   3. The instruction order comes from one walk over task ids. A task
+//      whose operands (fixed predecessors plus sync blockers) have all
+//      resolved is emitted at once; otherwise it waits on the first
+//      unresolved one and is revisited when that one resolves. A group's
+//      rendezvous is emitted right after its last member. Producers number
+//      tasks in topological order, so what waits is work behind a
+//      rendezvous whose last member has a higher id.
+//   4. Lane serialization becomes a static chain. For every pair of
+//      consecutive tasks (a, b) on one lane in emission order, the compiler
+//      proves a dependency path a => b (a backward search over operands and
+//      group members); then *any* positive duration assignment executes a
+//      before b, so `lane_free` can be threaded through the instruction
 //      stream instead of re-sorted by a queue.
-//   3. Coupled collectives become rendezvous nodes: members' out-edges are
-//      re-sourced from a group node (all members end together at the group
-//      end), member arrival order is pre-sorted by the interpreter's
-//      documented (profiled ts, task id) tie-break, and the last-arrival
-//      scan replicates the interpreter's strictly-greater max exactly.
 //
-// Anything the proof does not cover — a cycle through the transformed
-// graph (deadlock fixtures), an unprovable lane order (independent tasks
-// sharing a lane), non-positive durations (which break the tie-break
-// argument), or SimulatorHooks (a per-pick callback by definition) — makes
-// compile() report a fallback status and the caller runs the interpreter.
-// The interpreter stays the pinned reference: a compiled run is
-// bit-identical to Simulator::run() on the same graph and options
-// (tests/test_replay_program.cpp holds that across the fixture zoo).
+// Anything the proof does not cover — a task the walk never emits (a cycle
+// through fixed, sync or rendezvous constraints: the deadlock fixtures), an
+// unprovable lane order (independent tasks sharing a lane), non-positive
+// durations (which break the tie-break argument), or SimulatorHooks (a
+// per-pick callback by definition) — makes compile() report a fallback
+// status and the caller runs the interpreter. The interpreter stays the
+// pinned reference: a compiled run is bit-identical to Simulator::run() on
+// the same graph (tests/test_replay_program.cpp holds that across the
+// fixture zoo).
 //
 // Thread safety: ReplayProgram is immutable after compile; run() is const
 // and allocates all per-run state locally, so any number of threads may
@@ -56,8 +65,9 @@ namespace lumos::core {
 /// Why compile() did (or did not) produce a program.
 enum class ReplayCompileStatus : std::uint8_t {
   kCompiled = 0,
-  /// The transformed graph (fixed + sync + rendezvous edges) has a cycle —
-  /// the interpreter would deadlock; stuck-task reporting needs it.
+  /// Some task never becomes ready through fixed, sync and rendezvous
+  /// constraints (a cycle) — the interpreter would deadlock, and stuck-task
+  /// reporting needs it.
   kCyclic,
   /// Two tasks share a lane with no dependency path ordering them, so the
   /// execution order is duration-dependent (or the proof search exceeded
@@ -90,7 +100,6 @@ class ReplayProgram {
   std::size_t task_count() const { return task_count_; }
   std::size_t instruction_count() const { return instrs_.size(); }
   std::size_t collective_count() const { return collective_count_; }
-  bool coupled() const { return coupled_; }
 
  private:
   friend class ReplayCompiler;
@@ -120,7 +129,6 @@ class ReplayProgram {
   std::size_t task_count_ = 0;
   std::size_t lane_count_ = 0;
   std::size_t collective_count_ = 0;
-  bool coupled_ = false;
 
   std::vector<Instr> instrs_;            ///< proven execution order
   std::vector<TaskId> operands_;         ///< CSR: effective predecessors
@@ -131,17 +139,6 @@ class ReplayProgram {
 /// Lowers a finalized graph into a ReplayProgram, or reports why it cannot.
 class ReplayCompiler {
  public:
-  struct Options {
-    /// Must match the SimOptions::couple_collectives of the runs the
-    /// program will replace (api paths always couple).
-    bool couple_collectives = true;
-    /// Node budget for each lane-order path proof. Every parser/builder
-    /// lane carries direct intra-lane chain edges (found in O(out-degree)),
-    /// so the budget only bounds pathological hand-built graphs, which
-    /// fall back to the interpreter.
-    std::size_t lane_check_budget = 4096;
-  };
-
   struct Result {
     /// Null unless status == kCompiled.
     std::shared_ptr<const ReplayProgram> program;
@@ -149,15 +146,11 @@ class ReplayCompiler {
     explicit operator bool() const { return program != nullptr; }
   };
 
-  /// Pure function of (graph, options); never throws, never fails hard —
-  /// an unsupported construct is a fallback status, not an error. The
+  /// Pure function of the graph; never throws, never fails hard — an
+  /// unsupported construct is a fallback status, not an error. The
   /// returned program is self-contained (it copies the columns it reads)
   /// and does not keep the graph alive.
-  static Result compile(const ExecutionGraph& graph,
-                        const Options& options);
-  static Result compile(const ExecutionGraph& graph) {
-    return compile(graph, Options{});
-  }
+  static Result compile(const ExecutionGraph& graph);
 };
 
 }  // namespace lumos::core

@@ -110,7 +110,7 @@ class Run {
         push(id, feasible_start(id));
         continue;
       }
-      if (options_.couple_collectives && meta_.is_coupled_collective(id)) {
+      if (meta_.is_coupled_collective(id)) {
         park_collective(id, fs);
       } else {
         execute_task(id, fs, task_duration(id));
@@ -162,10 +162,8 @@ class Run {
     parked_.assign(n, false);
     runtime_dependents_.assign(n, {});
     lane_free_.assign(lanes_.size(), 0);
-    if (options_.couple_collectives) {
-      arrivals_.assign(meta_.collective_groups().size(), {});
-      active_per_rank_.assign(lanes_.rank_count(), 0);
-    }
+    arrivals_.assign(meta_.collective_groups().size(), {});
+    active_per_rank_.assign(lanes_.rank_count(), 0);
     for (std::size_t i = 0; i < n; ++i) {
       if (dep_count_[i] == 0 && !is_dropped(i)) {
         push(static_cast<TaskId>(i), feasible_start(static_cast<TaskId>(i)));
@@ -352,9 +350,7 @@ Simulator::Simulator(const ExecutionGraph& graph, SimOptions options)
 SimResult Simulator::run() const { return Run(graph_, options_).execute(); }
 
 SimResult replay(const ExecutionGraph& graph) {
-  SimOptions options;
-  options.couple_collectives = true;
-  return Simulator(graph, options).run();
+  return Simulator(graph).run();
 }
 
 }  // namespace lumos::core

@@ -10,12 +10,12 @@
 //
 // The implementation processes task starts in nondecreasing time order
 // (a lazy priority queue re-pushes tasks whose feasible start moved), which
-// makes it possible to support *collective coupling*: NCCL kernels of one
-// collective instance start together once every participating rank arrives,
-// the way real NCCL rendezvous behaves. Coupling is used by the ground-truth
-// cluster engine and by manipulated multi-rank graph prediction; plain trace
-// replay leaves it off because profiled kernel durations already include
-// peer-wait time.
+// makes *collective coupling* possible: NCCL kernels of one collective
+// instance rendezvous once every participating rank arrives, the way real
+// NCCL behaves, and the transfer takes the last arrival's duration. Every
+// replay couples — trace replay, prediction, dPRO and the ground-truth
+// cluster engine — because a profiled member's duration includes its
+// peer-wait time, which coupling re-derives instead of double-counting.
 //
 // Determinism: a run is a pure function of (graph, options, hooks). Queue
 // ties are broken by profiled timestamp and then by task id, and
@@ -70,9 +70,6 @@ class SimulatorHooks {
 };
 
 struct SimOptions {
-  /// When true, collective kernels with the same (comm_group, instance)
-  /// rendezvous: all start at the max ready time of the group.
-  bool couple_collectives = false;
   /// Optional hooks; not owned. nullptr uses defaults.
   SimulatorHooks* hooks = nullptr;
   /// Optional per-task dropout mask; not owned, size must equal the graph's
@@ -121,11 +118,9 @@ class Simulator {
   SimOptions options_;
 };
 
-/// Lumos replay of a (multi-rank) parsed trace graph: collective instances
-/// rendezvous across ranks, with the profiled duration of the last-arriving
-/// member as the transfer time — so peer-wait skew is re-derived rather than
-/// double-counted. For single-rank graphs this degenerates gracefully
-/// (every group has one member).
+/// Lumos replay of a (multi-rank) parsed trace graph with the default
+/// options: Simulator(graph).run(). For single-rank graphs the rendezvous
+/// degenerates gracefully (every group has one member).
 SimResult replay(const ExecutionGraph& graph);
 
 }  // namespace lumos::core

@@ -151,7 +151,7 @@ class TaskMetaTable {
     return (flags_[idx(id)] & kCollectiveKernel) != 0;
   }
   /// Collective kernel with a known rendezvous instance — the set the
-  /// simulator couples when SimOptions::couple_collectives is on.
+  /// simulator and the compiled replay couple into rendezvous groups.
   bool is_coupled_collective(TaskId id) const {
     return (flags_[idx(id)] & kCoupled) != 0;
   }

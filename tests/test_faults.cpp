@@ -237,7 +237,6 @@ TEST_F(FaultPlanFixture, CompiledAndInterpreterPathsAreBitIdentical) {
   const core::SimResult fast = compiled.program->run(plan.durations());
 
   core::SimOptions options;
-  options.couple_collectives = true;
   ColumnHooks hooks = plan.make_hooks();
   options.hooks = &hooks;
   const core::SimResult reference =
@@ -358,6 +357,39 @@ TEST_F(FaultPlanFixture, RankDropoutReportsExactAscendingStuckTasks) {
       api::replay_faulted(base_, FaultSpec().drop_rank(1));
   ASSERT_TRUE(again.is_ok());
   expect_same_sim(*r, *again);
+}
+
+TEST_F(FaultPlanFixture, DeadlockMessageNamesTheLowestStuckTask) {
+  // predict_on maps the dropout deadlock to kDeadlock; the message names
+  // the lowest stuck task of the same schedule replay_faulted returns as
+  // data. With rank 1 dropped, that task is a rank-0 collective whose
+  // rank-1 peer never arrives, so the message also names its group, none
+  // of whose members can finish.
+  const FaultSpec spec = FaultSpec().drop_rank(1);
+  Result<core::SimResult> sim = api::replay_faulted(base_, spec);
+  ASSERT_TRUE(sim.is_ok()) << sim.status().to_string();
+  ASSERT_FALSE(sim->complete());
+  Result<Prediction> p = api::predict_on(base_, whatif().with_faults(spec));
+  ASSERT_EQ(p.status().code(), ErrorCode::kDeadlock);
+  const std::string message = p.status().message();
+
+  const core::TaskMetaTable& meta = graph().meta();
+  const core::LaneTable& lanes = meta.lanes();
+  const core::TaskId first = sim->stuck_tasks.front();
+  ASSERT_TRUE(meta.is_coupled_collective(first));
+  const core::CollectiveGroupMeta& group =
+      meta.collective_groups()[static_cast<std::size_t>(
+          meta.group_index(first))];
+  EXPECT_EQ(lanes.rank_value(lanes.rank_index(meta.lane(first))), 0);
+  const std::string expected =
+      "prediction stuck with " + std::to_string(sim->stuck_tasks.size()) +
+      " unfinished tasks; lowest is task " + std::to_string(first) +
+      " (rank 0, " + std::string(meta.name_view(first)) +
+      ") in rendezvous group " + std::string(meta.group_view(group.group)) +
+      "#" + std::to_string(group.instance) + " with " +
+      std::to_string(group.members.size()) + " of " +
+      std::to_string(group.members.size()) + " members stuck";
+  EXPECT_EQ(message, expected);
 }
 
 TEST(FaultFacade, DropoutThroughPredictIsAStructuredDeadlock) {

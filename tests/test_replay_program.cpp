@@ -48,16 +48,12 @@ void expect_identical(const SimResult& compiled, const SimResult& reference) {
 }
 
 /// Compiles `graph` (expecting success) and checks run() against the
-/// interpreter with matching coupling.
-void expect_compiles_identical(const ExecutionGraph& graph, bool coupled) {
-  ReplayCompiler::Options opts;
-  opts.couple_collectives = coupled;
-  ReplayCompiler::Result compiled = ReplayCompiler::compile(graph, opts);
+/// interpreter.
+void expect_compiles_identical(const ExecutionGraph& graph) {
+  ReplayCompiler::Result compiled = ReplayCompiler::compile(graph);
   ASSERT_TRUE(compiled) << "compile fell back: "
                         << to_string(compiled.status);
-  SimOptions sim_opts;
-  sim_opts.couple_collectives = coupled;
-  const SimResult reference = Simulator(graph, sim_opts).run();
+  const SimResult reference = Simulator(graph).run();
   ASSERT_TRUE(reference.complete());
   expect_identical(compiled.program->run(), reference);
 }
@@ -133,7 +129,7 @@ TEST(ReplayProgram, ChainBitIdentical) {
   TaskId c = f.cpu(0, 1, 30);
   f.g.add_edge(a, b, DepType::IntraThread);
   f.g.add_edge(b, c, DepType::IntraThread);
-  expect_compiles_identical(f.g, /*coupled=*/false);
+  expect_compiles_identical(f.g);
 }
 
 TEST(ReplayProgram, StreamSynchronizeBitIdentical) {
@@ -145,7 +141,7 @@ TEST(ReplayProgram, StreamSynchronizeBitIdentical) {
   f.g.add_edge(launch, k, DepType::CpuToGpu);
   f.g.add_edge(launch, sync, DepType::IntraThread);
   f.g.add_edge(sync, after, DepType::IntraThread);
-  expect_compiles_identical(f.g, /*coupled=*/false);
+  expect_compiles_identical(f.g);
 }
 
 TEST(ReplayProgram, SyncIgnoresLaterKernelsBitIdentical) {
@@ -155,7 +151,7 @@ TEST(ReplayProgram, SyncIgnoresLaterKernelsBitIdentical) {
   TaskId k = f.kernel(0, 7, 1000);  // launched AFTER the sync (higher id)
   f.g.add_edge(sync, launch, DepType::IntraThread);
   f.g.add_edge(launch, k, DepType::CpuToGpu);
-  expect_compiles_identical(f.g, /*coupled=*/false);
+  expect_compiles_identical(f.g);
 }
 
 TEST(ReplayProgram, DeviceSynchronizeBitIdentical) {
@@ -169,7 +165,7 @@ TEST(ReplayProgram, DeviceSynchronizeBitIdentical) {
   f.g.add_edge(l2, k2, DepType::CpuToGpu);
   f.g.add_edge(l1, l2, DepType::IntraThread);
   f.g.add_edge(l2, sync, DepType::IntraThread);
-  expect_compiles_identical(f.g, /*coupled=*/false);
+  expect_compiles_identical(f.g);
 }
 
 TEST(ReplayProgram, EventSynchronizeBitIdentical) {
@@ -185,7 +181,7 @@ TEST(ReplayProgram, EventSynchronizeBitIdentical) {
   f.g.add_edge(record, l2, DepType::IntraThread);
   f.g.add_edge(l2, k2, DepType::CpuToGpu);
   f.g.add_edge(k1, k2, DepType::IntraStream);
-  expect_compiles_identical(f.g, /*coupled=*/false);
+  expect_compiles_identical(f.g);
 }
 
 TEST(ReplayProgram, CoupledRendezvousBitIdentical) {
@@ -196,7 +192,7 @@ TEST(ReplayProgram, CoupledRendezvousBitIdentical) {
   TaskId c1 = f.collective(1, 13, 50, "tp_0", 0);
   f.g.add_edge(pre0, c0, DepType::InterStream);
   f.g.add_edge(pre1, c1, DepType::InterStream);
-  expect_compiles_identical(f.g, /*coupled=*/true);
+  expect_compiles_identical(f.g);
 }
 
 TEST(ReplayProgram, CoupledP2pStartsAtRendezvousBitIdentical) {
@@ -207,7 +203,7 @@ TEST(ReplayProgram, CoupledP2pStartsAtRendezvousBitIdentical) {
   TaskId recv = f.collective(1, 22, 30, "pp_fwd_s0to1", 0, "recv");
   f.g.add_edge(pre0, send, DepType::IntraStream);
   f.g.add_edge(pre1, recv, DepType::IntraStream);
-  expect_compiles_identical(f.g, /*coupled=*/true);
+  expect_compiles_identical(f.g);
 }
 
 TEST(ReplayProgram, LastArrivalDurationBitIdentical) {
@@ -218,14 +214,56 @@ TEST(ReplayProgram, LastArrivalDurationBitIdentical) {
   TaskId pre1 = f.kernel(1, 7, 400);
   f.g.add_edge(pre0, c0, DepType::InterStream);
   f.g.add_edge(pre1, c1, DepType::InterStream);
-  expect_compiles_identical(f.g, /*coupled=*/true);
+  expect_compiles_identical(f.g);
 }
 
-TEST(ReplayProgram, UncoupledCollectivesBitIdentical) {
+// ---------------------------------------------------------------------------
+// The compile walk: id order is only the visiting order; the emitted order
+// follows operands, rendezvous groups and multi-hop lane proofs
+// ---------------------------------------------------------------------------
+
+TEST(ReplayProgram, BackwardEdgesAcrossLanesBitIdentical) {
+  // Fixed edges point from higher to lower ids across lanes, with no sync
+  // APIs: the walk reaches every task before its operands are emitted, so
+  // each one waits and is emitted by the last release.
   GraphFixture f;
-  f.collective(0, 13, 500, "tp_0", 0);
-  f.collective(1, 13, 700, "tp_0", 0);
-  expect_compiles_identical(f.g, /*coupled=*/false);
+  TaskId x = f.cpu(0, 1, 10);
+  TaskId y = f.cpu(0, 2, 20);
+  TaskId z = f.kernel(0, 7, 30);
+  TaskId w = f.cpu(0, 3, 5);
+  f.g.add_edge(z, y, DepType::GpuToCpu);
+  f.g.add_edge(y, x, DepType::InterThread);
+  f.g.add_edge(w, z, DepType::CpuToGpu);
+  ASSERT_TRUE(f.g.is_acyclic());
+  expect_compiles_identical(f.g);
+}
+
+TEST(ReplayProgram, LaneOrderedOnlyThroughRendezvousBitIdentical) {
+  // c0 and k share rank 0's stream 13 with no edge between them: k waits
+  // on c1, which ends only when the group (and so c0) resolves. The lane
+  // proof must find c0 through the group node.
+  GraphFixture f;
+  f.collective(0, 13, 50, "tp_0", 0);  // c0
+  TaskId pre1 = f.kernel(1, 7, 400);
+  TaskId c1 = f.collective(1, 13, 80, "tp_0", 0);
+  TaskId k = f.kernel(0, 13, 40);
+  f.g.add_edge(pre1, c1, DepType::InterStream);
+  f.g.add_edge(c1, k, DepType::InterStream);
+  expect_compiles_identical(f.g);
+}
+
+TEST(ReplayProgram, MultiHopLaneProofBitIdentical) {
+  // a and b share a CPU thread with no direct edge; the only path runs
+  // through two kernels on two other streams (a -> k1 -> k2 -> b).
+  GraphFixture f;
+  TaskId a = f.cpu(0, 1, 10);
+  TaskId k1 = f.kernel(0, 7, 100);
+  TaskId k2 = f.kernel(0, 13, 50);
+  TaskId b = f.cpu(0, 1, 5);
+  f.g.add_edge(a, k1, DepType::CpuToGpu);
+  f.g.add_edge(k1, k2, DepType::InterStream);
+  f.g.add_edge(k2, b, DepType::GpuToCpu);
+  expect_compiles_identical(f.g);
 }
 
 TEST(ReplayProgram, EmptyGraphCompiles) {
@@ -421,12 +459,7 @@ class ReplayProgramProperty : public ::testing::TestWithParam<std::uint64_t> {
 TEST_P(ReplayProgramProperty, CoupledBitIdentical) {
   RandomGraph random(GetParam());
   ASSERT_TRUE(random.graph().is_acyclic());
-  expect_compiles_identical(random.graph(), /*coupled=*/true);
-}
-
-TEST_P(ReplayProgramProperty, UncoupledBitIdentical) {
-  RandomGraph random(GetParam());
-  expect_compiles_identical(random.graph(), /*coupled=*/false);
+  expect_compiles_identical(random.graph());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ReplayProgramProperty,
@@ -460,7 +493,6 @@ TEST(ReplayProgram, AlternateDurationsMatchHookedInterpreter) {
   ColumnHooks hooks;
   hooks.column = &column;
   SimOptions opts;
-  opts.couple_collectives = true;
   opts.hooks = &hooks;
   const SimResult reference = Simulator(g, opts).run();
   ASSERT_TRUE(reference.complete());
@@ -583,8 +615,7 @@ TEST(ReplayProgram, TwentyRankClusterTraceBitIdentical) {
     }
   }
   ExecutionGraph graph = TraceParser().parse(cluster);
-  expect_compiles_identical(graph, /*coupled=*/true);
-  expect_compiles_identical(graph, /*coupled=*/false);
+  expect_compiles_identical(graph);
 }
 
 // ---------------------------------------------------------------------------
@@ -596,9 +627,7 @@ TEST(ReplayProgram, ConcurrentReplayOfSharedProgram) {
   ReplayCompiler::Result compiled = ReplayCompiler::compile(random.graph());
   ASSERT_TRUE(compiled) << to_string(compiled.status);
   std::shared_ptr<const ReplayProgram> program = compiled.program;
-  SimOptions opts;
-  opts.couple_collectives = true;
-  const SimResult reference = Simulator(random.graph(), opts).run();
+  const SimResult reference = Simulator(random.graph()).run();
 
   constexpr int kThreads = 4;
   constexpr int kRunsPerThread = 8;
@@ -675,10 +704,22 @@ TEST(FacadeCompiledReplay, SessionReplayBitIdenticalToInterpreter) {
   Result<const core::SimResult*> fast = session->replay();
   ASSERT_TRUE(fast.is_ok()) << fast.status().to_string();
   ASSERT_NE(session->share_baseline()->program, nullptr);
-  Result<core::SimResult> reference = api::replay_graph(
-      **session->graph(), {.couple_collectives = true});
+  Result<core::SimResult> reference = api::replay_graph(**session->graph());
   ASSERT_TRUE(reference.is_ok()) << reference.status().to_string();
   expect_same_sim(**fast, *reference);
+}
+
+TEST(FacadeCompiledReplay, ReplayGraphDefaultsMatchSessionReplay) {
+  // api::replay_graph with default options replays exactly what
+  // Session::replay does: coupled collectives are the only semantics.
+  Result<Session> session = Session::create(
+      Scenario::synthetic().with_model("15b").with_parallelism("2x2x4"));
+  ASSERT_TRUE(session.is_ok()) << session.status().to_string();
+  Result<const core::SimResult*> replayed = session->replay();
+  ASSERT_TRUE(replayed.is_ok()) << replayed.status().to_string();
+  Result<core::SimResult> direct = api::replay_graph(**session->graph());
+  ASSERT_TRUE(direct.is_ok()) << direct.status().to_string();
+  expect_same_sim(*direct, **replayed);
 }
 
 TEST(FacadeCompiledReplay, NoOpPredictReportsCompiledPath) {
@@ -770,7 +811,6 @@ TEST(FacadeCompiledReplay, StructureChangingWhatIfsCompileTheirOwnGraph) {
   ASSERT_TRUE(plan.compiled_eligible());
   faults::ColumnHooks column = plan.make_hooks();
   core::SimOptions options;
-  options.couple_collectives = true;
   options.hooks = &column;
   expect_same_sim(faulted->sim, core::Simulator(rebuilt, options).run());
 

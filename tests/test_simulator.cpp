@@ -69,9 +69,8 @@ struct GraphFixture {
     return g.add_task(std::move(t));
   }
 
-  SimResult run(bool coupled = false, SimulatorHooks* hooks = nullptr) {
+  SimResult run(SimulatorHooks* hooks = nullptr) {
     SimOptions options;
-    options.couple_collectives = coupled;
     options.hooks = hooks;
     return Simulator(g, options).run();
   }
@@ -113,6 +112,19 @@ TEST(ExecutionGraph, CycleDetection) {
   TaskId hint = kInvalidTask;
   EXPECT_FALSE(f.g.is_acyclic(&hint));
   EXPECT_NE(hint, kInvalidTask);
+}
+
+TEST(ExecutionGraph, CycleHintIsOnTheCycle) {
+  // Task 1 is left over only because it sits downstream of the 2 <-> 3
+  // cycle; the hint must name a task on the cycle itself.
+  GraphFixture f;
+  for (int i = 0; i < 4; ++i) f.cpu(0, i, 1);
+  f.g.add_edge(2, 3, DepType::InterThread);
+  f.g.add_edge(3, 2, DepType::InterThread);
+  f.g.add_edge(3, 1, DepType::InterThread);
+  TaskId hint = kInvalidTask;
+  EXPECT_FALSE(f.g.is_acyclic(&hint));
+  EXPECT_TRUE(hint == 2 || hint == 3) << "hint " << hint;
 }
 
 TEST(ExecutionGraph, WithoutEdgesFilters) {
@@ -246,15 +258,6 @@ TEST(Simulator, EventSynchronizeWaitsForRecordPoint) {
   EXPECT_EQ(r.start_ns[static_cast<std::size_t>(esync)], 105);
 }
 
-TEST(Simulator, UncoupledCollectivesReplayProfiledDurations) {
-  GraphFixture f;
-  TaskId c0 = f.collective(0, 13, 500, "tp_0", 0);
-  TaskId c1 = f.collective(1, 13, 700, "tp_0", 0);
-  SimResult r = f.run(/*coupled=*/false);
-  EXPECT_EQ(r.end_ns[static_cast<std::size_t>(c0)], 500);
-  EXPECT_EQ(r.end_ns[static_cast<std::size_t>(c1)], 700);
-}
-
 TEST(Simulator, CoupledAllReduceRendezvous) {
   GraphFixture f;
   // Rank 0 ready at 100; rank 1 ready at 400 (blocked behind a kernel).
@@ -264,7 +267,7 @@ TEST(Simulator, CoupledAllReduceRendezvous) {
   TaskId c1 = f.collective(1, 13, 50, "tp_0", 0);
   f.g.add_edge(pre0, c0, DepType::InterStream);
   f.g.add_edge(pre1, c1, DepType::InterStream);
-  SimResult r = f.run(/*coupled=*/true);
+  SimResult r = f.run();
   ASSERT_TRUE(r.complete());
   // Ring collectives spin: rank 0 starts at its own arrival (100) and both
   // end together at rendezvous(400) + transfer(50) = 450.
@@ -282,7 +285,7 @@ TEST(Simulator, CoupledSendRecvStartsAtRendezvous) {
   TaskId recv = f.collective(1, 22, 30, "pp_fwd_s0to1", 0, "recv");
   f.g.add_edge(pre0, send, DepType::IntraStream);
   f.g.add_edge(pre1, recv, DepType::IntraStream);
-  SimResult r = f.run(/*coupled=*/true);
+  SimResult r = f.run();
   ASSERT_TRUE(r.complete());
   // P2P engages only when both sides are ready: both kernels run
   // [400, 430) and the bubble shows up as stream idle.
@@ -299,7 +302,7 @@ TEST(Simulator, CoupledCollectiveUsesLastArrivalDuration) {
   TaskId pre1 = f.kernel(1, 7, 400);
   f.g.add_edge(pre0, c0, DepType::InterStream);
   f.g.add_edge(pre1, c1, DepType::InterStream);
-  SimResult r = f.run(/*coupled=*/true);
+  SimResult r = f.run();
   // Transfer time comes from the last-arriving member (c1: 50), not the
   // wait-inflated early member.
   EXPECT_EQ(r.end_ns[static_cast<std::size_t>(c1)], 450);
@@ -315,7 +318,7 @@ TEST(Simulator, IncompleteCollectiveGroupDeadlocksDetectably) {
   TaskId blocker = f.cpu(1, 1, 10);
   f.g.add_edge(c1, blocker, DepType::GpuToCpu);
   f.g.add_edge(blocker, c1, DepType::InterThread);
-  SimResult r = f.run(/*coupled=*/true);
+  SimResult r = f.run();
   EXPECT_FALSE(r.complete());
   EXPECT_FALSE(r.stuck_tasks.empty());
 }
@@ -328,7 +331,7 @@ TEST(Simulator, HooksOverrideDurations) {
   } hooks;
   GraphFixture f;
   f.cpu(0, 1, 10);
-  SimResult r = f.run(false, &hooks);
+  SimResult r = f.run(&hooks);
   EXPECT_EQ(r.makespan_ns, 20);
 }
 
@@ -345,7 +348,7 @@ TEST(Simulator, CollectiveHookSeesConcurrency) {
   // Singleton instances so they rendezvous immediately but overlap.
   f.collective(0, 13, 1'000, "tp_0", 0, "allreduce", /*group_size=*/1);
   f.collective(0, 17, 1'000, "dp_0", 0, "allreduce", /*group_size=*/1);
-  SimResult r = f.run(/*coupled=*/true, &hooks);
+  SimResult r = f.run(&hooks);
   ASSERT_TRUE(r.complete());
   EXPECT_GE(hooks.max_concurrent, 1);
 }

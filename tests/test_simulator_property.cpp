@@ -155,9 +155,7 @@ class SimulatorProperty : public ::testing::TestWithParam<std::uint64_t> {
   void SetUp() override {
     random_ = std::make_unique<RandomGraph>(GetParam());
     ASSERT_TRUE(random_->graph().is_acyclic());
-    SimOptions options;
-    options.couple_collectives = true;
-    result_ = Simulator(random_->graph(), options).run();
+    result_ = Simulator(random_->graph()).run();
     ASSERT_TRUE(result_.complete());
   }
 
@@ -220,9 +218,7 @@ TEST_P(SimulatorProperty, BlockingSyncsWaitForPriorStreamWork) {
 }
 
 TEST_P(SimulatorProperty, DeterministicReplay) {
-  SimOptions options;
-  options.couple_collectives = true;
-  SimResult again = Simulator(graph(), options).run();
+  SimResult again = Simulator(graph()).run();
   EXPECT_EQ(result_.start_ns, again.start_ns);
   EXPECT_EQ(result_.end_ns, again.end_ns);
 }
