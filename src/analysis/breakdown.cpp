@@ -47,6 +47,30 @@ Breakdown assemble(std::vector<Interval> compute, std::vector<Interval> comm,
   return b;
 }
 
+/// Field-wise mean of per-rank breakdowns. The sums run in 128 bits: many
+/// ranks over a long window can overflow int64, while their mean cannot.
+/// Truncating division, exactly as Breakdown::operator/ divides.
+class RankMean {
+ public:
+  void add(const Breakdown& b) {
+    compute_ += b.exposed_compute_ns;
+    overlapped_ += b.overlapped_ns;
+    comm_ += b.exposed_comm_ns;
+    other_ += b.other_ns;
+    ++count_;
+  }
+  Breakdown mean() const {
+    return {static_cast<std::int64_t>(compute_ / count_),
+            static_cast<std::int64_t>(overlapped_ / count_),
+            static_cast<std::int64_t>(comm_ / count_),
+            static_cast<std::int64_t>(other_ / count_)};
+  }
+
+ private:
+  __int128 compute_ = 0, overlapped_ = 0, comm_ = 0, other_ = 0;
+  std::int64_t count_ = 0;
+};
+
 }  // namespace
 
 Breakdown& Breakdown::operator+=(const Breakdown& o) {
@@ -100,11 +124,11 @@ Breakdown compute_breakdown(const trace::ClusterTrace& trace) {
     begin = std::min(begin, r.begin_ns());
     end = std::max(end, r.end_ns());
   }
-  Breakdown sum;
+  RankMean sum;
   for (const trace::RankTrace& r : trace.ranks) {
-    sum += compute_breakdown(r, begin, end);
+    sum.add(compute_breakdown(r, begin, end));
   }
-  return sum / static_cast<std::int64_t>(trace.ranks.size());
+  return sum.mean();
 }
 
 Breakdown compute_breakdown(const core::ExecutionGraph& graph,
@@ -137,11 +161,11 @@ Breakdown compute_breakdown(const core::ExecutionGraph& graph,
     (meta.collective_op(id).valid() ? comm : compute)[r].emplace_back(lo, hi);
   }
 
-  Breakdown sum;
+  RankMean sum;
   for (std::size_t r = 0; r < ranks; ++r) {
-    sum += assemble(std::move(compute[r]), std::move(comm[r]), end - begin);
+    sum.add(assemble(std::move(compute[r]), std::move(comm[r]), end - begin));
   }
-  return sum / static_cast<std::int64_t>(ranks);
+  return sum.mean();
 }
 
 }  // namespace lumos::analysis

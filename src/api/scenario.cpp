@@ -150,11 +150,6 @@ Scenario& Scenario::with_ingest_workers(std::size_t workers) {
   return *this;
 }
 
-Scenario& Scenario::with_build_options(workload::BuildOptions options) {
-  build_options_ = options;
-  return *this;
-}
-
 Scenario& Scenario::with_parser_options(core::ParserOptions options) {
   parser_options_ = options;
   return *this;

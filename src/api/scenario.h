@@ -77,7 +77,6 @@ class Scenario {
   Scenario& with_hardware(cost::HardwareSpec hw);
   Scenario& with_seed(std::uint64_t seed);         ///< profiled run
   Scenario& with_actual_seed(std::uint64_t seed);  ///< measured run
-  Scenario& with_build_options(workload::BuildOptions options);
   Scenario& with_parser_options(core::ParserOptions options);
   /// Cluster-ingest parallelism: rank files are parsed across `workers`
   /// threads with a deterministic pool merge, so any value — 0 (one worker
@@ -143,9 +142,6 @@ class Scenario {
   std::uint64_t seed() const { return seed_; }
   std::uint64_t actual_seed() const { return actual_seed_; }
   const cost::HardwareSpec& hardware() const { return hardware_; }
-  const workload::BuildOptions& build_options() const {
-    return build_options_;
-  }
   const core::ParserOptions& parser_options() const {
     return parser_options_;
   }
@@ -197,7 +193,6 @@ class Scenario {
   cost::HardwareSpec hardware_ = cost::HardwareSpec::h100_cluster();
   std::uint64_t seed_ = 1;
   std::uint64_t actual_seed_ = 2;
-  workload::BuildOptions build_options_;
   core::ParserOptions parser_options_;
   trace::IoOptions io_options_;
 

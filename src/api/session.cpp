@@ -554,8 +554,7 @@ Result<Prediction> predict_member(const BaselineArtifacts& base,
 
     try {
       core::GraphManipulator manipulator(*base.graph, *base.model,
-                                         *base.config, kernel_model,
-                                         base.scenario.build_options());
+                                         *base.config, kernel_model);
       workload::BuiltJob job = manipulator.with_spec(
           target_model, target_config, std::move(sibling_dps));
       owned = std::move(job.graph);

@@ -177,7 +177,8 @@ class Session {
   /// Serializes the finalized baseline (trace + parsed graph + scenario
   /// metadata) as a versioned binary snapshot at `path` (snapshot/
   /// snapshot.h). load_baseline_snapshot() brings it back by mmap — no
-  /// JSON, no re-parse, no re-finalize. kIoError on filesystem failure.
+  /// JSON, no re-parse; the load range-checks the columns and derives the
+  /// meta table. kIoError on filesystem failure.
   Status save_snapshot(const std::string& path);
   /// Lumos replay of the graph (Algorithm 1 with collective coupling and
   /// this scenario's hooks, if any). kDeadlock when the simulation sticks.
@@ -320,8 +321,8 @@ Status save_baseline_snapshot(const BaselineArtifacts& base,
 /// lifetime rule in snapshot/snapshot.h.
 ///
 /// Errors: kIoError (missing/unreadable file), kParseError (bad magic,
-/// truncation, checksum or structure mismatch), kUnsupported (format
-/// version from a different build).
+/// truncation, checksum or structure mismatch, an out-of-range id, edge or
+/// duration), kUnsupported (format version from a different build).
 Result<BaselineArtifacts> load_baseline_snapshot(const std::string& path);
 
 /// Reads just the snapshot header and returns the content hash pinned at

@@ -121,12 +121,6 @@ std::string build_meta_json(const BaselineArtifacts& base) {
       {"seed", static_cast<std::int64_t>(s.seed())},
       {"actual_seed", static_cast<std::int64_t>(s.actual_seed())},
       {"hardware", hardware_to_json(s.hardware())},
-      {"build_options",
-       json::Object{
-           {"policy", static_cast<std::int64_t>(s.build_options().policy)},
-           {"bucket_layers", s.build_options().bucket_layers},
-           {"dp_rank", s.build_options().dp_rank},
-           {"include_optimizer", s.build_options().include_optimizer}}},
       {"parser_options",
        json::Object{
            {"sync_duration_clamp_ns",
@@ -163,18 +157,6 @@ Status parse_meta_json(const std::string& meta_json, BaselineArtifacts& out) {
   const json::Object& obj = meta.as_object();
   if (const json::Value* hw = obj.find("hardware")) {
     scenario.with_hardware(hardware_from_json(*hw));
-  }
-  if (const json::Value* bo = obj.find("build_options")) {
-    workload::BuildOptions options;
-    options.policy = static_cast<workload::SchedulePolicy>(
-        bo->get_int("policy", 0));
-    options.bucket_layers = static_cast<std::int32_t>(
-        bo->get_int("bucket_layers", options.bucket_layers));
-    options.dp_rank =
-        static_cast<std::int32_t>(bo->get_int("dp_rank", options.dp_rank));
-    options.include_optimizer =
-        bo->get_int("include_optimizer", 1) != 0;
-    scenario.with_build_options(options);
   }
   if (const json::Value* po = obj.find("parser_options")) {
     core::ParserOptions options;
@@ -235,17 +217,19 @@ Status Session::save_snapshot(const std::string& path) {
 Result<BaselineArtifacts> load_baseline_snapshot(const std::string& path) {
   keep_freed_memory_resident();
   snapshot::Bundle bundle;
+  BaselineArtifacts out;
   try {
     bundle = snapshot::load(path);
+    if (Status status = parse_meta_json(bundle.meta_json, out);
+        !status.is_ok()) {
+      return status;
+    }
   } catch (const snapshot::Error& e) {
     return map_snapshot_error(e);
+  } catch (const json::TypeError& e) {
+    return parse_error(std::string("snapshot metadata: ") + e.what());
   } catch (const std::exception& e) {
     return internal_error(std::string("snapshot load: ") + e.what());
-  }
-  BaselineArtifacts out;
-  if (Status status = parse_meta_json(bundle.meta_json, out);
-      !status.is_ok()) {
-    return status;
   }
   out.trace = std::move(bundle.trace);
   out.graph = std::move(bundle.graph);

@@ -102,10 +102,15 @@ class [[nodiscard]] Result {
   bool is_ok() const { return state_.index() == 0; }
   explicit operator bool() const { return is_ok(); }
 
-  /// OK when holding a value, the error otherwise.
-  Status status() const {
-    return is_ok() ? Status::ok() : std::get<1>(state_);
+  /// OK when holding a value, the error otherwise. A reference into this
+  /// result (or to a static OK status), so `r.status().message()` may be
+  /// bound to a reference for as long as `r` lives.
+  const Status& status() const& {
+    static const Status kOk;
+    return is_ok() ? kOk : std::get<1>(state_);
   }
+  /// On a temporary result, a copy: nothing can refer into a dead result.
+  Status status() && { return status(); }
 
   const T& value() const& { return checked(); }
   T& value() & { return checked(); }

@@ -309,8 +309,10 @@ Result<FaultReport> Sweep::run_fault_grid(
   if (base_.graph != nullptr) {
     // Eager lowering probe: a spec naming a rank or collective group the
     // baseline graph does not have fails the whole grid here, once, instead
-    // of stamping the same kInvalidArgument into every cell.
-    const faults::FaultPlan probe = faults::FaultPlan::lower(*base_.graph, spec);
+    // of stamping the same kInvalidArgument into every cell. Severity 0
+    // keeps every name but draws no jitter.
+    const faults::FaultPlan probe =
+        faults::FaultPlan::lower(*base_.graph, spec.scaled(0.0));
     if (!probe.ok()) {
       return invalid_argument_error("fault spec: " + probe.error());
     }

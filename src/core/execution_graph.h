@@ -199,7 +199,7 @@ class ExecutionGraph {
   std::int64_t total_duration_ns() const;
 
  private:
-  friend struct lumos::snapshot::Access;  // installs payload + meta columns
+  friend struct lumos::snapshot::Access;  // installs the loaded payload
 
   /// CSR successor / predecessor lists over the fixed edges.
   struct Adjacency {

@@ -41,8 +41,7 @@ class GraphManipulator {
                    workload::ModelSpec base_model,
                    workload::ParallelConfig base_config,
                    const cost::KernelPerfModel& kernel_model,
-                   workload::BuildOptions build_options = {},
-                   TemplateOptions template_options = {});
+                   workload::BuildOptions build_options = {});
 
   /// Fig. 7a: new data-parallel degree; everything but DP communication is
   /// sourced unchanged from the trace.

@@ -24,7 +24,8 @@
 //
 // The table is owned by ExecutionGraph, built lazily under the same
 // double-checked locking discipline as the adjacency index (or eagerly via
-// ExecutionGraph::finalize(), which every producer calls), and shared
+// ExecutionGraph::finalize(), which every producer calls; the snapshot
+// loader calls meta()), and shared
 // across graph copies — it depends only on the task payload, never on the
 // edge set. All build-order choices (lane ids, group ids) are
 // deterministic functions of the task sequence, so identical graphs yield
@@ -41,10 +42,6 @@
 #include "core/task.h"
 #include "io/column.h"
 #include "trace/string_pool.h"
-
-namespace lumos::snapshot {
-struct Access;  // raw column access for the binary snapshot reader/writer
-}
 
 namespace lumos::core {
 
@@ -89,7 +86,6 @@ class LaneTable {
 
  private:
   friend class TaskMetaTable;
-  friend struct lumos::snapshot::Access;
 
   std::vector<Processor> lanes_;          ///< by LaneId
   std::vector<std::uint32_t> sorted_;     ///< lane ids sorted by Processor
@@ -203,8 +199,6 @@ class TaskMetaTable {
   }
 
  private:
-  friend struct lumos::snapshot::Access;
-
   static std::size_t idx(TaskId id) { return static_cast<std::size_t>(id); }
   static std::string_view view(const trace::StringPool& pool,
                                std::uint32_t id) {
@@ -219,26 +213,26 @@ class TaskMetaTable {
     kP2p = 1u << 3,
   };
 
-  // Structure-of-arrays columns, indexed by TaskId. io::Column: owned (or
-  // views of the graph payload) on the build path, zero-copy views of the
-  // mapping on the snapshot path.
+  // Structure-of-arrays columns, indexed by TaskId. The columns the event
+  // table already holds are views of the graph payload (which the table
+  // keeps alive); the rest are classified here.
   io::Column<std::uint8_t> cat_;
   io::Column<std::uint8_t> api_;
-  io::Column<std::uint8_t> flags_;
-  io::Column<LaneId> lane_;
   io::Column<std::int64_t> dur_;
   io::Column<std::int64_t> ts_;
   io::Column<std::uint32_t> name_;
-  io::Column<std::uint32_t> coll_op_;
-  io::Column<std::uint32_t> coll_group_;
-  io::Column<std::int64_t> coll_instance_;
-  io::Column<std::int32_t> group_idx_;
-  io::Column<LaneId> sync_lane_;
-  io::Column<TaskId> sync_before_;
+  std::vector<std::uint8_t> flags_;
+  std::vector<LaneId> lane_;
+  std::vector<std::uint32_t> coll_op_;
+  std::vector<std::uint32_t> coll_group_;
+  std::vector<std::int64_t> coll_instance_;
+  std::vector<std::int32_t> group_idx_;
+  std::vector<LaneId> sync_lane_;
+  std::vector<TaskId> sync_before_;
 
   LaneTable lanes_;
-  io::Column<std::int32_t> gpu_task_offsets_;  ///< CSR over lanes
-  io::Column<TaskId> gpu_task_ids_;
+  std::vector<std::int32_t> gpu_task_offsets_;  ///< CSR over lanes
+  std::vector<TaskId> gpu_task_ids_;
   std::vector<CollectiveGroupMeta> groups_;
 
   std::shared_ptr<trace::TracePools> pools_;

@@ -16,12 +16,10 @@ using workload::Phase;
 TemplateProvider::TemplateProvider(const ExecutionGraph& profiled,
                                    workload::ModelSpec base_model,
                                    workload::ParallelConfig base_config,
-                                   const cost::KernelPerfModel& kernel_model,
-                                   TemplateOptions options)
+                                   const cost::KernelPerfModel& kernel_model)
     : base_model_(std::move(base_model)),
       base_config_(base_config),
       kernel_model_(kernel_model),
-      options_(options),
       fallback_(kernel_model) {
   extract(profiled);
 }
@@ -87,8 +85,10 @@ void TemplateProvider::extract(const ExecutionGraph& profiled) {
   for (std::size_t i = 0; i < tasks.size(); ++i) {
     const std::int32_t block = lookup(block_of, ev.block_id(i));
     const std::int32_t phase = lookup(phase_of, ev.phase_id(i));
-    const auto layer = static_cast<std::uint32_t>(ev.layer(i) + 1);
-    const auto microbatch = static_cast<std::uint32_t>(ev.microbatch(i) + 1);
+    // Unsigned +1: -1 maps to 0, and no column value can overflow.
+    const std::uint32_t layer = static_cast<std::uint32_t>(ev.layer(i)) + 1u;
+    const std::uint32_t microbatch =
+        static_cast<std::uint32_t>(ev.microbatch(i)) + 1u;
     if (block < 0 || phase < 0 || layer >= (1u << 20) ||
         microbatch >= (1u << 20)) {
       continue;
@@ -231,8 +231,10 @@ std::int64_t TemplateProvider::kernel_ns(const workload::KernelDesc& desc) {
     return static_cast<std::int64_t>(base);
   }
 
-  if (desc.elementwise_bytes > 0 && options_.recost_elementwise &&
-      stats.bytes_moved > 0 && stats.bytes_moved != desc.elementwise_bytes) {
+  // Memory-bound kernels are re-costed when their bytes change too (the
+  // paper only re-costs GEMM and communication).
+  if (desc.elementwise_bytes > 0 && stats.bytes_moved > 0 &&
+      stats.bytes_moved != desc.elementwise_bytes) {
     return scaled(stats.mean_ns(),
                   kernel_model_.memory_bound_ns(desc.elementwise_bytes),
                   kernel_model_.memory_bound_ns(stats.bytes_moved));

@@ -39,12 +39,6 @@
 
 namespace lumos::core {
 
-struct TemplateOptions {
-  /// Re-cost memory-bound kernels when their bytes change. The paper only
-  /// re-costs GEMM and communication; disabling this reproduces that.
-  bool recost_elementwise = true;
-};
-
 class TemplateProvider : public workload::DurationProvider {
  public:
   /// `profiled` is a parsed (or built) graph of the base configuration;
@@ -52,8 +46,7 @@ class TemplateProvider : public workload::DurationProvider {
   TemplateProvider(const ExecutionGraph& profiled,
                    workload::ModelSpec base_model,
                    workload::ParallelConfig base_config,
-                   const cost::KernelPerfModel& kernel_model,
-                   TemplateOptions options = {});
+                   const cost::KernelPerfModel& kernel_model);
 
   std::int64_t cpu_ns(const workload::CpuOpDesc& desc) override;
   std::int64_t kernel_ns(const workload::KernelDesc& desc) override;
@@ -97,7 +90,6 @@ class TemplateProvider : public workload::DurationProvider {
   workload::ModelSpec base_model_;
   workload::ParallelConfig base_config_;
   const cost::KernelPerfModel& kernel_model_;
-  TemplateOptions options_;
   workload::AnalyticalProvider fallback_;  ///< for keys absent in the profile
 
   std::vector<Slot> cpu_slots_;

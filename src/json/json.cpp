@@ -82,8 +82,14 @@ bool Value::as_bool() const {
 
 std::int64_t Value::as_int() const {
   if (const auto* i = std::get_if<std::int64_t>(&data_)) return *i;
-  if (const auto* d = std::get_if<double>(&data_))
+  if (const auto* d = std::get_if<double>(&data_)) {
+    // [-2^63, 2^63): the doubles whose truncation an int64 can hold.
+    if (!(*d >= -0x1p63 && *d < 0x1p63)) {
+      throw TypeError("json::Value: number " + std::to_string(*d) +
+                      " does not fit in an int64");
+    }
     return static_cast<std::int64_t>(*d);
+  }
   type_error("number", kind());
 }
 

@@ -116,7 +116,9 @@ class Value {
   bool is_object() const { return std::holds_alternative<Object>(data_); }
 
   bool as_bool() const;
-  std::int64_t as_int() const;      ///< exact for Int; truncating for Double
+  /// Exact for Int; truncating for Double. Throws TypeError for a double
+  /// outside the int64 range (NaN and infinities included).
+  std::int64_t as_int() const;
   double as_double() const;         ///< widens Int to double
   const std::string& as_string() const;
   const Array& as_array() const;

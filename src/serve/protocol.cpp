@@ -1,6 +1,8 @@
 #include "serve/protocol.h"
 
+#include <cmath>
 #include <exception>
+#include <limits>
 #include <utility>
 
 namespace lumos::serve {
@@ -47,8 +49,27 @@ bool get_bool(const json::Value& v, std::string_view key, bool fallback) {
   const json::Value* p = v.as_object().find(key);
   if (p == nullptr) return fallback;
   if (p->is_bool()) return p->as_bool();
-  if (p->is_number()) return p->as_int() != 0;
+  // as_int() != 0, for numbers of any magnitude.
+  if (p->is_number()) return std::abs(p->as_double()) >= 1.0;
   return fallback;
+}
+
+/// One what-if count: absent means 0 (unset). A present value must be a
+/// JSON integer that fits T and is not negative — anything else fails loud,
+/// naming the field, rather than predicting some other configuration.
+template <class T>
+Status get_count(const json::Value& whatif, std::string_view key, T& out) {
+  const json::Value* v = whatif.as_object().find(key);
+  if (v == nullptr) return Status::ok();
+  if (!v->is_int() || v->as_int() < 0 ||
+      v->as_int() > std::numeric_limits<T>::max()) {
+    return invalid_argument_error(
+        "request: whatif." + std::string(key) + " must be an integer in [0, " +
+        std::to_string(std::numeric_limits<T>::max()) + "], got " +
+        json::write(*v));
+  }
+  out = static_cast<T>(v->as_int());
+  return Status::ok();
 }
 
 const char* method_name(Method m) {
@@ -88,11 +109,11 @@ Status decode_request(std::string_view line, Request& out) {
   json::Value v;
   try {
     v = json::parse(line);
+    out.id = v.get_int("id", 0);  // before validation, so errors echo the id
   } catch (const std::exception& e) {
     return parse_error(std::string("request: ") + e.what());
   }
   if (!v.is_object()) return parse_error("request: not a JSON object");
-  out.id = v.get_int("id", 0);  // before validation, so errors echo the id
 
   const std::string method = v.get_string("method", "");
   if (method == "predict") {
@@ -111,12 +132,13 @@ Status decode_request(std::string_view line, Request& out) {
   if (const json::Value* w = v.as_object().find("whatif");
       w != nullptr && w->is_object()) {
     WhatIf& o = out.whatif;
-    o.dp = static_cast<std::int32_t>(w->get_int("dp", 0));
-    o.pp = static_cast<std::int32_t>(w->get_int("pp", 0));
-    o.tp = static_cast<std::int32_t>(w->get_int("tp", 0));
-    o.num_layers = static_cast<std::int32_t>(w->get_int("num_layers", 0));
-    o.d_model = w->get_int("d_model", 0);
-    o.d_ff = w->get_int("d_ff", 0);
+    for (const Status& status :
+         {get_count(*w, "dp", o.dp), get_count(*w, "pp", o.pp),
+          get_count(*w, "tp", o.tp), get_count(*w, "num_layers", o.num_layers),
+          get_count(*w, "d_model", o.d_model),
+          get_count(*w, "d_ff", o.d_ff)}) {
+      if (!status.is_ok()) return status;
+    }
     o.fusion = get_bool(*w, "fusion", false);
     o.cost_model = w->get_string("cost_model", "");
     o.hooks = w->get_string("hooks", "");

@@ -31,7 +31,7 @@ enum SectionId : std::uint32_t {
   kSectionMeta = 1,   ///< opaque api-layer JSON
   kSectionPools = 2,  ///< canonical string pools (names / ops / groups)
   kSectionTrace = 3,  ///< per-rank event columns
-  kSectionGraph = 4,  ///< edges, task payloads, meta columns, lanes, groups
+  kSectionGraph = 4,  ///< edges and the task payload columns
 };
 
 #pragma pack(push, 1)
@@ -155,13 +155,6 @@ class Cursor {
     return io::Column<T>::borrow(s.data(), s.size(), keepalive_);
   }
 
-  /// Owned copy (for the small rebuild-at-load structures).
-  template <class T>
-  std::vector<T> get_vector() {
-    const std::span<const T> s = get_span<T>();
-    return {s.begin(), s.end()};
-  }
-
   std::string_view get_bytes() {
     const auto n = get<std::uint64_t>();
     if (n > data_.size()) fail_corrupt("blob length overflow");
@@ -169,8 +162,6 @@ class Cursor {
     pad();
     return {p, static_cast<std::size_t>(n)};
   }
-
-  bool done() const { return pos_ == data_.size(); }
 
  private:
   const char* take(std::size_t n) {
@@ -251,91 +242,56 @@ void read_pool(Cursor& cur, trace::StringPool& pool) {
 
 }  // namespace
 
-/// The one friend of the columnar tables: serializes and reconstructs them
-/// column by column. The visit_* functions define the on-disk column order
-/// — writer and reader share them, so the two can never disagree.
+/// The one friend of the trace tables: serializes and reconstructs them
+/// column by column. visit_event_columns defines the on-disk column order
+/// — writer, reader and checker share it, so they can never disagree.
 struct Access {
-  enum class Domain : std::uint8_t { kNone, kName, kOp, kGroup };
+  /// What a column's values are, for the load-time range checks: ids into
+  /// a string pool or rows of the collective / GEMM side table, task
+  /// durations and start times, or anything (kNone).
+  enum class Domain : std::uint8_t {
+    kNone, kName, kOp, kGroup, kCollRow, kGemmRow, kDuration, kTime
+  };
+  /// Which rows a column has: one per event, or one per side-table entry.
+  enum class Rows : std::uint8_t { kEvent, kColl, kGemm };
 
   template <class Table, class F>
   static void visit_event_columns(Table& t, F&& f) {
-    f(t.cat_, Domain::kNone);
-    f(t.api_, Domain::kNone);
-    f(t.ts_, Domain::kNone);
-    f(t.dur_, Domain::kNone);
-    f(t.pid_, Domain::kNone);
-    f(t.tid_, Domain::kNone);
-    f(t.correlation_, Domain::kNone);
-    f(t.stream_, Domain::kNone);
-    f(t.cuda_event_, Domain::kNone);
-    f(t.layer_, Domain::kNone);
-    f(t.microbatch_, Domain::kNone);
-    f(t.bytes_moved_, Domain::kNone);
-    f(t.name_, Domain::kName);
-    f(t.phase_, Domain::kName);
-    f(t.block_, Domain::kName);
-    f(t.coll_idx_, Domain::kNone);
-    f(t.gemm_idx_, Domain::kNone);
-    f(t.coll_.op, Domain::kOp);
-    f(t.coll_.group, Domain::kGroup);
-    f(t.coll_.bytes, Domain::kNone);
-    f(t.coll_.group_size, Domain::kNone);
-    f(t.coll_.instance, Domain::kNone);
-    f(t.gemm_.m, Domain::kNone);
-    f(t.gemm_.n, Domain::kNone);
-    f(t.gemm_.k, Domain::kNone);
+    f(t.cat_, Rows::kEvent, Domain::kNone);
+    f(t.api_, Rows::kEvent, Domain::kNone);
+    f(t.ts_, Rows::kEvent, Domain::kTime);
+    f(t.dur_, Rows::kEvent, Domain::kDuration);
+    f(t.pid_, Rows::kEvent, Domain::kNone);
+    f(t.tid_, Rows::kEvent, Domain::kNone);
+    f(t.correlation_, Rows::kEvent, Domain::kNone);
+    f(t.stream_, Rows::kEvent, Domain::kNone);
+    f(t.cuda_event_, Rows::kEvent, Domain::kNone);
+    f(t.layer_, Rows::kEvent, Domain::kNone);
+    f(t.microbatch_, Rows::kEvent, Domain::kNone);
+    f(t.bytes_moved_, Rows::kEvent, Domain::kNone);
+    f(t.name_, Rows::kEvent, Domain::kName);
+    f(t.phase_, Rows::kEvent, Domain::kName);
+    f(t.block_, Rows::kEvent, Domain::kName);
+    f(t.coll_idx_, Rows::kEvent, Domain::kCollRow);
+    f(t.gemm_idx_, Rows::kEvent, Domain::kGemmRow);
+    f(t.coll_.op, Rows::kColl, Domain::kOp);
+    f(t.coll_.group, Rows::kColl, Domain::kGroup);
+    f(t.coll_.bytes, Rows::kColl, Domain::kNone);
+    f(t.coll_.group_size, Rows::kColl, Domain::kNone);
+    f(t.coll_.instance, Rows::kColl, Domain::kNone);
+    f(t.gemm_.m, Rows::kGemm, Domain::kNone);
+    f(t.gemm_.n, Rows::kGemm, Domain::kNone);
+    f(t.gemm_.k, Rows::kGemm, Domain::kNone);
   }
 
-  template <class Table, class F>
-  static void visit_meta_columns(Table& t, F&& f) {
-    f(t.cat_, Domain::kNone);
-    f(t.api_, Domain::kNone);
-    f(t.flags_, Domain::kNone);
-    f(t.lane_, Domain::kNone);
-    f(t.dur_, Domain::kNone);
-    f(t.ts_, Domain::kNone);
-    f(t.name_, Domain::kName);
-    f(t.coll_op_, Domain::kOp);
-    f(t.coll_group_, Domain::kGroup);
-    f(t.coll_instance_, Domain::kNone);
-    f(t.group_idx_, Domain::kNone);
-    f(t.sync_lane_, Domain::kNone);
-    f(t.sync_before_, Domain::kNone);
-    f(t.gpu_task_offsets_, Domain::kNone);
-    f(t.gpu_task_ids_, Domain::kNone);
+  /// Row counts of the collective and GEMM side tables.
+  static std::pair<std::size_t, std::size_t> side_rows(
+      const trace::EventTable& t) {
+    return {t.coll_.op.size(), t.gemm_.m.size()};
   }
-
-  // -- raw member access for the small rebuild-at-load structures -----------
   static std::shared_ptr<trace::TracePools>& cluster_pools(
       trace::ClusterTrace& t) {
     return t.pools_;
-  }
-  template <class LT>
-  static auto& lt_lanes(LT& t) { return t.lanes_; }
-  template <class LT>
-  static auto& lt_sorted(LT& t) { return t.sorted_; }
-  template <class LT>
-  static auto& lt_rank_index(LT& t) { return t.rank_index_; }
-  template <class LT>
-  static auto& lt_rank_values(LT& t) { return t.rank_values_; }
-  template <class LT>
-  static auto& lt_gpu_offsets(LT& t) { return t.gpu_offsets_; }
-  template <class LT>
-  static auto& lt_gpu_lane_ids(LT& t) { return t.gpu_lane_ids_; }
-  template <class MT>
-  static auto& meta_lane_table(MT& t) { return t.lanes_; }
-  template <class MT>
-  static auto& meta_groups(MT& t) { return t.groups_; }
-  static std::shared_ptr<trace::TracePools>& meta_pools(
-      core::TaskMetaTable& t) {
-    return t.pools_;
-  }
-  static std::vector<core::Edge>& graph_edges(core::ExecutionGraph& g) {
-    return g.edges_;
-  }
-  static const std::vector<core::Edge>& graph_edges(
-      const core::ExecutionGraph& g) {
-    return g.edges_;
   }
   /// The loaded payload columns become the graph's task payload as-is
   /// (zero-copy views of the mapping).
@@ -343,18 +299,14 @@ struct Access {
                             core::TaskColumns tasks) {
     g.tasks_ = std::make_shared<core::TaskColumns>(std::move(tasks));
   }
-  static void install_meta(core::ExecutionGraph& g,
-                           std::shared_ptr<const core::TaskMetaTable> meta) {
-    g.meta_.set(std::move(meta));
-  }
 };
 
 namespace {
 
 /// Canonical output pools + memoized per-source-pool id remaps. The writer
 /// funnels every string domain of the bundle (per-rank trace pools, the
-/// graph's meta pools — usually all one shared instance) through this, so
-/// the snapshot carries exactly one pool set.
+/// graph payload's pools — usually all one shared instance) through this,
+/// so the snapshot carries exactly one pool set.
 struct WriterPools {
   std::shared_ptr<trace::TracePools> out =
       std::make_shared<trace::TracePools>();
@@ -387,9 +339,11 @@ struct ColumnWriter {
   const PoolsRemap& remap;
 
   template <class T>
-  void operator()(const io::Column<T>& col, Access::Domain d) const {
+  void operator()(const io::Column<T>& col, Access::Rows,
+                  Access::Domain d) const {
     if constexpr (std::is_same_v<T, std::uint32_t>) {
-      if (d != Access::Domain::kNone) {
+      if (d == Access::Domain::kName || d == Access::Domain::kOp ||
+          d == Access::Domain::kGroup) {
         const PoolRemap& r = domain_remap(remap, d);
         if (!r.identity()) {
           std::vector<std::uint32_t> translated(col.size());
@@ -407,8 +361,72 @@ struct ColumnReader {
   Cursor& cur;
 
   template <class T>
-  void operator()(io::Column<T>& col, Access::Domain) const {
+  void operator()(io::Column<T>& col, Access::Rows, Access::Domain) const {
     col = cur.get_column<T>();
+  }
+};
+
+/// Range check of one loaded column: its length matches its rows, and
+/// every value lies in its domain's range. After this, nothing downstream
+/// indexes out of range through a loaded id, and no replay clock overflows.
+struct ColumnChecker {
+  /// A single task longer than 2^40 ns (~18 minutes) cannot come from an
+  /// iteration profile; below it, replay and analysis sums of durations
+  /// stay far inside int64.
+  static constexpr std::int64_t kMaxDurationNs = std::int64_t{1} << 40;
+  /// Start times (epoch-based traces reach ~2^61 ns) stay below 2^62, so a
+  /// start plus a duration cannot overflow.
+  static constexpr std::int64_t kMaxTimeNs = std::int64_t{1} << 62;
+
+  const trace::TracePools& pools;
+  std::size_t events, colls, gemms;
+
+  template <class T>
+  void operator()(const io::Column<T>& col, Access::Rows rows,
+                  Access::Domain d) const {
+    const std::size_t want = rows == Access::Rows::kEvent  ? events
+                             : rows == Access::Rows::kColl ? colls
+                                                           : gemms;
+    if (col.size() != want) fail_corrupt("event column length mismatch");
+    if (d == Access::Domain::kNone) return;
+    const Range r = range_of(d);
+    for (const T v : col) {
+      const auto x = static_cast<std::int64_t>(v);
+      if ((x < r.lo || x >= r.hi) && x != r.none) {
+        fail_corrupt(std::string("event ") + r.what + " out of range");
+      }
+    }
+  }
+
+  /// Values a column may hold: [lo, hi), plus `none`.
+  struct Range {
+    std::int64_t lo, hi, none;
+    const char* what;
+  };
+  Range range_of(Access::Domain d) const {
+    // The invalid string id encodes the empty string; row -1 is "no row".
+    constexpr std::int64_t kNoString = trace::NameId::kInvalidIndex;
+    const auto size = [](std::size_t n) {
+      return static_cast<std::int64_t>(n);
+    };
+    switch (d) {
+      case Access::Domain::kName:
+        return {0, size(pools.names.size()), kNoString, "name id"};
+      case Access::Domain::kOp:
+        return {0, size(pools.ops.size()), kNoString, "collective op id"};
+      case Access::Domain::kGroup:
+        return {0, size(pools.groups.size()), kNoString, "group id"};
+      case Access::Domain::kCollRow:
+        return {-1, size(colls), -1, "collective row"};
+      case Access::Domain::kGemmRow:
+        return {-1, size(gemms), -1, "GEMM row"};
+      case Access::Domain::kDuration:
+        return {0, kMaxDurationNs, 0, "duration"};
+      case Access::Domain::kTime:
+        return {-kMaxTimeNs, kMaxTimeNs, 0, "start time"};
+      case Access::Domain::kNone: break;
+    }
+    return {0, 0, 0, ""};
   }
 };
 
@@ -424,6 +442,9 @@ trace::EventTable read_event_table(Cursor& cur,
   trace::EventTable t(std::move(pools));
   Access::visit_event_columns(t, ColumnReader{cur});
   if (t.size() != size) fail_corrupt("event column length mismatch");
+  const auto [colls, gemms] = Access::side_rows(t);
+  Access::visit_event_columns(
+      t, ColumnChecker{*t.pools(), t.size(), colls, gemms});
   return t;
 }
 
@@ -431,7 +452,7 @@ void write_graph(Buffer& buf, const core::ExecutionGraph& graph,
                  WriterPools& pools) {
   // Edges as three scalar columns — Edge itself has padding bytes that
   // would poison the payload checksum.
-  const std::vector<core::Edge>& edges = Access::graph_edges(graph);
+  const std::vector<core::Edge>& edges = graph.edges();
   std::vector<std::int32_t> src(edges.size()), dst(edges.size());
   std::vector<std::uint8_t> type(edges.size());
   for (std::size_t i = 0; i < edges.size(); ++i) {
@@ -444,74 +465,22 @@ void write_graph(Buffer& buf, const core::ExecutionGraph& graph,
   buf.put_array(type);
 
   // Task payload: the graph's own processor and event columns, string ids
-  // translated into the canonical pools.
+  // translated into the canonical pools. The meta table is not stored: the
+  // loader derives it from these columns like every other producer.
   const core::TaskColumns& tasks = graph.columns();
   buf.put_array(tasks.rank.data(), tasks.rank.size());
   buf.put_array(tasks.gpu.data(), tasks.gpu.size());
   buf.put_array(tasks.lane.data(), tasks.lane.size());
   write_event_table(buf, tasks.events, pools);
-
-  // The finalized meta table: per-task columns, the lane table, and the
-  // collective rendezvous groups.
-  const core::TaskMetaTable& meta = graph.meta();
-  buf.put(static_cast<std::uint64_t>(meta.size()));
-  Access::visit_meta_columns(meta,
-                             ColumnWriter{buf, pools.remap_for(*meta.pools())});
-
-  const core::LaneTable& lt = meta.lanes();
-  const std::vector<core::Processor>& lanes = Access::lt_lanes(lt);
-  std::vector<std::int32_t> lane_rank(lanes.size());
-  std::vector<std::uint8_t> lane_gpu(lanes.size());
-  std::vector<std::int64_t> lane_lane(lanes.size());
-  for (std::size_t i = 0; i < lanes.size(); ++i) {
-    lane_rank[i] = lanes[i].rank;
-    lane_gpu[i] = lanes[i].gpu ? 1 : 0;
-    lane_lane[i] = lanes[i].lane;
-  }
-  buf.put_array(lane_rank);
-  buf.put_array(lane_gpu);
-  buf.put_array(lane_lane);
-  buf.put_array(Access::lt_sorted(lt));
-  buf.put_array(Access::lt_rank_index(lt));
-  buf.put_array(Access::lt_rank_values(lt));
-  buf.put_array(Access::lt_gpu_offsets(lt));
-  buf.put_array(Access::lt_gpu_lane_ids(lt));
-
-  const PoolsRemap& remap = pools.remap_for(*meta.pools());
-  const std::vector<core::CollectiveGroupMeta>& groups =
-      meta.collective_groups();
-  std::vector<std::uint32_t> group_id(groups.size());
-  std::vector<std::int64_t> group_instance(groups.size());
-  std::vector<std::uint64_t> member_offsets(groups.size() + 1, 0);
-  std::vector<core::TaskId> members;
-  for (std::size_t i = 0; i < groups.size(); ++i) {
-    group_id[i] = remap.groups[groups[i].group.index];
-    group_instance[i] = groups[i].instance;
-    members.insert(members.end(), groups[i].members.begin(),
-                   groups[i].members.end());
-    member_offsets[i + 1] = members.size();
-  }
-  buf.put_array(group_id);
-  buf.put_array(group_instance);
-  buf.put_array(member_offsets);
-  buf.put_array(members);
 }
 
 std::shared_ptr<const core::ExecutionGraph> read_graph(
     Cursor& cur, std::shared_ptr<trace::TracePools> pools) {
-  auto graph = std::make_shared<core::ExecutionGraph>();
-
   const std::span<const std::int32_t> src = cur.get_span<std::int32_t>();
   const std::span<const std::int32_t> dst = cur.get_span<std::int32_t>();
   const std::span<const std::uint8_t> type = cur.get_span<std::uint8_t>();
   if (src.size() != dst.size() || src.size() != type.size()) {
     fail_corrupt("edge column length mismatch");
-  }
-  std::vector<core::Edge>& edges = Access::graph_edges(*graph);
-  edges.resize(src.size());
-  for (std::size_t i = 0; i < src.size(); ++i) {
-    if (type[i] >= core::kDepTypeCount) fail_corrupt("edge type out of range");
-    edges[i] = {src[i], dst[i], static_cast<core::DepType>(type[i])};
   }
 
   io::Column<std::int32_t> rank = cur.get_column<std::int32_t>();
@@ -522,60 +491,22 @@ std::shared_ptr<const core::ExecutionGraph> read_graph(
       lane.size() != events.size()) {
     fail_corrupt("task column length mismatch");
   }
+
+  auto graph = std::make_shared<core::ExecutionGraph>();
+  graph->reserve(0, src.size());  // the payload below replaces the columns
   Access::install_tasks(*graph, {std::move(events), std::move(rank),
                                  std::move(gpu), std::move(lane)});
-
-  core::TaskMetaTable meta;
-  const auto meta_size = cur.get<std::uint64_t>();
-  Access::visit_meta_columns(meta, ColumnReader{cur});
-  if (meta.size() != meta_size) fail_corrupt("meta column length mismatch");
-
-  core::LaneTable& lt = Access::meta_lane_table(meta);
-  const std::span<const std::int32_t> lane_rank = cur.get_span<std::int32_t>();
-  const std::span<const std::uint8_t> lane_gpu = cur.get_span<std::uint8_t>();
-  const std::span<const std::int64_t> lane_lane = cur.get_span<std::int64_t>();
-  if (lane_rank.size() != lane_gpu.size() ||
-      lane_rank.size() != lane_lane.size()) {
-    fail_corrupt("lane column length mismatch");
-  }
-  std::vector<core::Processor>& lanes = Access::lt_lanes(lt);
-  lanes.resize(lane_rank.size());
-  for (std::size_t i = 0; i < lanes.size(); ++i) {
-    lanes[i] = {lane_rank[i], lane_gpu[i] != 0, lane_lane[i]};
-  }
-  Access::lt_sorted(lt) = cur.get_vector<std::uint32_t>();
-  Access::lt_rank_index(lt) = cur.get_vector<std::int32_t>();
-  Access::lt_rank_values(lt) = cur.get_vector<std::int32_t>();
-  Access::lt_gpu_offsets(lt) = cur.get_vector<std::int32_t>();
-  Access::lt_gpu_lane_ids(lt) = cur.get_vector<core::LaneId>();
-
-  const std::span<const std::uint32_t> group_id =
-      cur.get_span<std::uint32_t>();
-  const std::span<const std::int64_t> group_instance =
-      cur.get_span<std::int64_t>();
-  const std::span<const std::uint64_t> member_offsets =
-      cur.get_span<std::uint64_t>();
-  const std::span<const core::TaskId> members = cur.get_span<core::TaskId>();
-  if (group_id.size() != group_instance.size() ||
-      member_offsets.size() != group_id.size() + 1) {
-    fail_corrupt("group column length mismatch");
-  }
-  std::vector<core::CollectiveGroupMeta>& groups = Access::meta_groups(meta);
-  groups.resize(group_id.size());
-  for (std::size_t i = 0; i < groups.size(); ++i) {
-    const std::uint64_t lo = member_offsets[i], hi = member_offsets[i + 1];
-    if (lo > hi || hi > members.size()) {
-      fail_corrupt("group member offsets out of range");
+  try {
+    for (std::size_t i = 0; i < src.size(); ++i) {
+      if (type[i] >= core::kDepTypeCount) {
+        fail_corrupt("edge type out of range");
+      }
+      graph->add_edge(src[i], dst[i], static_cast<core::DepType>(type[i]));
     }
-    groups[i].group = {group_id[i]};
-    groups[i].instance = group_instance[i];
-    groups[i].members.assign(members.begin() + static_cast<std::ptrdiff_t>(lo),
-                             members.begin() + static_cast<std::ptrdiff_t>(hi));
+  } catch (const std::invalid_argument& e) {
+    fail_corrupt(e.what());
   }
-  Access::meta_pools(meta) = std::move(pools);
-
-  Access::install_meta(
-      *graph, std::make_shared<const core::TaskMetaTable>(std::move(meta)));
+  graph->meta();  // derived eagerly, before the graph is published
   return graph;
 }
 

@@ -2,21 +2,28 @@
 //
 // A snapshot is the flat, load-ready image of everything a prediction
 // reads: the columnar ClusterTrace (trace::EventTable per rank + the shared
-// TracePools), the parsed ExecutionGraph (edges, task payloads, and the
-// fully built TaskMetaTable with its LaneTable / rendezvous groups), plus
-// an opaque api-layer metadata JSON (scenario, model, config). Loading is
-// io::MappedFile + offset fixup: every O(events) / O(tasks) column comes
-// back as an io::Column borrow straight into the mapping — no JSON, no
-// re-parse, no re-finalize, no per-event allocation. Only the small
-// structures (string pools, lane table, groups, edge list) are rebuilt
-// owning.
+// TracePools), the parsed ExecutionGraph (edges and task payload columns),
+// plus an opaque api-layer metadata JSON (scenario, model, config). Each
+// column is stored once: the graph's TaskMetaTable is not in the file, the
+// loader derives it with TaskMetaTable::build like every other graph
+// producer. Loading is io::MappedFile + offset fixup: every O(events) /
+// O(tasks) column comes back as an io::Column borrow straight into the
+// mapping — no JSON, no re-parse, no per-event allocation. The string
+// pools, the edge list and the meta table are built owning; the adjacency
+// index stays lazy, as for any graph.
 //
-// Layout (format v1, little-endian, every section 8-byte aligned):
+// Untrusted bytes: the loader checks every column's length, every string
+// id against the loaded pools, every side-table row index, every edge
+// endpoint (through ExecutionGraph::add_edge) and every edge type before
+// the meta table is built, so a checksum-consistent but malformed file is
+// Error{kCorrupt}, never an out-of-range read.
+//
+// Layout (format v2, little-endian, every section 8-byte aligned):
 //
 //   Header   { magic "LUMOSNAP", version, section count, content hash,
 //              payload FNV, file size }
 //   Sections [ {id, offset, length} ... ]
-//   Payload  meta-JSON | pools | trace columns | graph columns
+//   Payload  meta-JSON | pools | trace columns | graph (edges + payload)
 //
 // The header pins two digests: `content_hash` is trace::content_hash of
 // the embedded trace (the serving layer's cache key — readable via peek()
@@ -48,8 +55,8 @@
 namespace lumos::snapshot {
 
 /// On-disk format version written by this build; load() rejects others
-/// with Error{kVersion}.
-inline constexpr std::uint32_t kFormatVersion = 1;
+/// (v1 stored the meta table too) with Error{kVersion}.
+inline constexpr std::uint32_t kFormatVersion = 2;
 
 enum class ErrorKind : std::uint8_t {
   kIo,       ///< file missing / unreadable / unwritable
@@ -69,8 +76,9 @@ class Error : public std::runtime_error {
 
 /// What a snapshot stores: the frozen trace + graph pair and the api
 /// layer's opaque metadata. On load, trace and graph alias the mapping
-/// (see the lifetime rule above): the graph's task columns and meta table
-/// are zero-copy views, so a load materializes no per-task object.
+/// (see the lifetime rule above): the graph's task columns are zero-copy
+/// views, so a load materializes no per-task object; its meta table,
+/// built at load, views the same columns.
 struct Bundle {
   std::string meta_json;
   std::shared_ptr<const trace::ClusterTrace> trace;
@@ -82,15 +90,15 @@ struct Bundle {
 /// pid-suffixed ".tmp." file in the target directory, fsync'd, then
 /// atomically renamed over `path` — a killed process leaves either the
 /// previous image or a stray temp file, never a torn snapshot, and a
-/// concurrently mmap'ed old image is never rewritten in place. The graph
-/// must be finalized (meta built); string ids are re-interned into one
-/// canonical pool set shared by trace and graph. Throws Error{kIo} on
+/// concurrently mmap'ed old image is never rewritten in place. String ids
+/// are re-interned into one canonical pool set shared by trace and graph. Throws Error{kIo} on
 /// filesystem failure (the temp file is unlinked on the error paths).
 void write(const std::string& path, const Bundle& bundle);
 
 /// Maps `path` and reconstructs the bundle zero-copy (use_mmap = false
 /// falls back to one buffered read; identical result). Verifies magic,
-/// version, structure and the payload checksum. Throws Error.
+/// version, structure, id ranges and the payload checksum, then builds
+/// the graph's meta table. Throws Error.
 Bundle load(const std::string& path, bool use_mmap = true);
 
 /// Reads just the header and returns the pinned content hash — the cheap

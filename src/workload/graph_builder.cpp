@@ -22,6 +22,9 @@ enum class CommOp : std::uint8_t { AllReduce, Send, Recv };
 constexpr std::array<std::string_view, 3> kCommOpNames = {"allreduce", "send",
                                                           "recv"};
 
+/// The one data-parallel replica the builder materializes.
+constexpr std::int32_t kDpRank = 0;
+
 /// The shared state of one build: the vocabulary interned into the graph's
 /// pools once, up front, so rows are emitted with ids and no per-task
 /// string work, and the DP family the walk prices communication for.
@@ -113,20 +116,18 @@ class RankBuilder {
         tp_rank_(tp_rank),
         layers_per_stage_(model.num_layers / config.pp),
         microbatch_slots_(config.microbatches() + 1),
-        tp_group_(ctx.group("tp_pp", stage, "_dp", options.dp_rank)),
+        tp_group_(ctx.group("tp_pp", stage, "_dp", kDpRank)),
         dp_group_(ctx.group("dp_tp", tp_rank, "_pp", stage)),
         ordinals_(kBlockNames.size() * kPhaseNames.size() *
                       static_cast<std::size_t>(layers_per_stage_ + 1) *
                       static_cast<std::size_t>(microbatch_slots_),
                   {0, 0}) {
     for (const Placement& p : ctx.placements) {
-      const std::int32_t rank =
-          p.global_rank({tp_rank, options.dp_rank, stage});
+      const std::int32_t rank = p.global_rank({tp_rank, kDpRank, stage});
       comms_.push_back({&p.config(), p.tp_placement(rank),
                         p.pp_placement(rank), p.dp_placement(rank)});
     }
-    rank_ = ctx.placements.front().global_rank(
-        {tp_rank, options.dp_rank, stage});
+    rank_ = ctx.placements.front().global_rank({tp_rank, kDpRank, stage});
     last_cpu_.fill(kInvalidTask);
     pending_thread_dep_.fill(kInvalidTask);
     last_kernel_.fill(kInvalidTask);
@@ -145,7 +146,7 @@ class RankBuilder {
         backward_pass(action.microbatch);
       }
     }
-    if (options_.include_optimizer) optimizer_epilogue();
+    optimizer_epilogue();
   }
 
  private:
@@ -410,7 +411,7 @@ class RankBuilder {
            std::int32_t microbatch) {
     const std::uint32_t group = ctx_.group(
         forward_dir ? "pp_fwd_s" : "pp_bwd_s", from_stage, "to", to_stage,
-        "_tp", tp_rank_, "_dp", options_.dp_rank, "_mb", microbatch);
+        "_tp", tp_rank_, "_dp", kDpRank, "_mb", microbatch);
     const std::int64_t stream =
         send ? lanes::kPpSendStream : lanes::kPpRecvStream;
     if (send) {
@@ -673,7 +674,7 @@ class RankBuilder {
     cpu(lanes::kMainThread, op_name("c10d::allreduce_"));
     comm_kernel(lanes::kMainThread,
                 op_name("ncclDevKernel_AllReduce_Sum_f32_RING"),
-                CommOp::AllReduce, ctx_.group("mp_dp", options_.dp_rank), 0,
+                CommOp::AllReduce, ctx_.group("mp_dp", kDpRank), 0,
                 lanes::kTpStream, [](const Communicators& comms) {
                   const ParallelConfig& c = *comms.config;
                   cost::CommPlacement placement;

@@ -46,9 +46,6 @@ struct BuildOptions {
   /// Transformer layers per data-parallel gradient bucket (Megatron DDP
   /// buckets gradients and all-reduces them as backward produces them).
   std::int32_t bucket_layers = 6;
-  /// Which data-parallel replica to materialize.
-  std::int32_t dp_rank = 0;
-  bool include_optimizer = true;
 };
 
 /// A built job: the graph plus the configuration that produced it.

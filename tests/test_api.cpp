@@ -118,6 +118,29 @@ TEST(ResultType, ErrorCarriesCodeAndMessage) {
   EXPECT_EQ(r.value_or("fallback"), "fallback");
 }
 
+TEST(ResultType, StatusMessageReferenceOutlivesTheStatement) {
+  // status() returns a reference into the result, so binding its message
+  // does not dangle once the full expression ends. The message is longer
+  // than any small-string buffer, so a dangling read is a heap read that
+  // the sanitizer job reports.
+  const std::string text(96, 'x');
+  const Result<int> err(deadlock_error(text));
+  const std::string& message = err.status().message();
+  const Status& status = err.status();
+  EXPECT_EQ(message, text);
+  EXPECT_EQ(status.code(), ErrorCode::kDeadlock);
+
+  const Result<int> ok(7);
+  const std::string& none = ok.status().message();
+  EXPECT_TRUE(ok.status().is_ok());
+  EXPECT_TRUE(none.empty());
+
+  // A temporary result hands out a copy, which the reference then keeps
+  // alive past the statement.
+  const Status& copied = Result<int>(deadlock_error(text)).status();
+  EXPECT_EQ(copied.message(), text);
+}
+
 TEST(ResultType, ValueOrMovesForMoveOnlyTypes) {
   Result<std::unique_ptr<int>> err(io_error("gone"));
   EXPECT_EQ(std::move(err).value_or(nullptr), nullptr);

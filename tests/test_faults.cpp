@@ -452,6 +452,29 @@ TEST(FaultFacade, GridValidationIsEagerAndStructured) {
       ErrorCode::kInvalidArgument);
 }
 
+TEST(FaultFacade, GridNameProbeKeepsItsErrorTexts) {
+  // The eager probe resolves names on a severity-0 copy of the spec (no
+  // jitter draws); the messages must still name the spec's own faults.
+  Result<Sweep> sweep = Sweep::create(tiny_scenario());
+  ASSERT_TRUE(sweep.is_ok());
+  const Result<api::FaultReport> bad_rank = sweep->run_fault_grid(
+      FaultSpec().with_jitter(0.1).slow_rank(99, 2.0), {0.5, 1.0});
+  EXPECT_EQ(bad_rank.status(),
+            invalid_argument_error(
+                "fault spec: slow_rank(99): rank 99 not present in the graph"));
+  const Result<api::FaultReport> bad_group = sweep->run_fault_grid(
+      FaultSpec().with_jitter(0.1).degrade_link("no_such_group", 1.5), {1.0});
+  EXPECT_EQ(bad_group.status(),
+            invalid_argument_error("fault spec: degrade_link(no_such_group): "
+                                   "collective group 'no_such_group' not "
+                                   "present in the graph"));
+  const Result<api::FaultReport> bad_drop =
+      sweep->run_fault_grid(FaultSpec().drop_rank(77), {1.0});
+  EXPECT_EQ(bad_drop.status(),
+            invalid_argument_error(
+                "fault spec: drop_rank(77): rank 77 not present in the graph"));
+}
+
 TEST(FaultFacade, ScenarioDescribesItsFaults) {
   const Scenario s = whatif().with_faults(straggler_spec());
   EXPECT_TRUE(s.has_manipulations());

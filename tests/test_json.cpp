@@ -39,6 +39,19 @@ TEST(JsonValue, IntTruncatesFromDouble) {
   EXPECT_EQ(v.as_int(), 3);
 }
 
+TEST(JsonValue, IntFromOutOfRangeDoubleThrows) {
+  // Truncating these to int64 would be undefined behaviour.
+  EXPECT_THROW(Value(1e30).as_int(), TypeError);
+  EXPECT_THROW(Value(-1e30).as_int(), TypeError);
+  EXPECT_THROW(Value(0x1p63).as_int(), TypeError);
+  EXPECT_THROW(Value(std::numeric_limits<double>::infinity()).as_int(),
+               TypeError);
+  EXPECT_THROW(Value(std::numeric_limits<double>::quiet_NaN()).as_int(),
+               TypeError);
+  EXPECT_EQ(Value(-0x1p63).as_int(), std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(Value(-2.9).as_int(), -2);
+}
+
 TEST(JsonValue, TypeErrorOnMismatch) {
   Value v("text");
   EXPECT_THROW(v.as_bool(), TypeError);

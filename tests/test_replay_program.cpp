@@ -802,8 +802,7 @@ TEST(FacadeCompiledReplay, StructureChangingWhatIfsCompileTheirOwnGraph) {
   target.dp = 4;
   const core::ExecutionGraph rebuilt =
       core::GraphManipulator(*base->graph, *base->model, *base->config,
-                             cost::KernelPerfModel(base->scenario.hardware()),
-                             base->scenario.build_options())
+                             cost::KernelPerfModel(base->scenario.hardware()))
           .with_spec(*base->model, target)
           .graph;
   const faults::FaultPlan plan = faults::FaultPlan::lower(rebuilt, spec);

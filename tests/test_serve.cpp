@@ -154,6 +154,54 @@ TEST(ServeProtocol, MalformedRequestsAreRejected) {
             ErrorCode::kInvalidArgument);
 }
 
+/// Decodes a predict request carrying `whatif` and returns its status.
+Status decode_whatif(const std::string& whatif) {
+  Request out;
+  return decode_request(
+      R"({"method":"predict","id":5,"baseline":"b.snap","whatif":)" + whatif +
+          "}",
+      out);
+}
+
+void expect_bad_field(const std::string& whatif, const std::string& field) {
+  const Status status = decode_whatif(whatif);
+  EXPECT_EQ(status.code(), ErrorCode::kInvalidArgument) << whatif;
+  EXPECT_NE(status.message().find("whatif." + field), std::string::npos)
+      << status.message();
+}
+
+TEST(ServeProtocol, WhatIfCountThatOverflowsItsTypeIsRejected) {
+  // 4294967304 = 2^32 + 8: a cast to int32 would predict dp=8.
+  expect_bad_field(R"({"dp":4294967304})", "dp");
+  expect_bad_field(R"({"num_layers":2147483648})", "num_layers");
+  // d_model is int64: 2^32 + 8 fits and is accepted.
+  EXPECT_TRUE(decode_whatif(R"({"d_model":4294967304})").is_ok());
+}
+
+TEST(ServeProtocol, NegativeWhatIfCountIsRejected) {
+  // Would otherwise read as "unset" and predict the unmodified baseline.
+  expect_bad_field(R"({"dp":-4})", "dp");
+  expect_bad_field(R"({"d_ff":-1})", "d_ff");
+}
+
+TEST(ServeProtocol, NonIntegerWhatIfCountIsRejected) {
+  expect_bad_field(R"({"dp":"8"})", "dp");
+  expect_bad_field(R"({"pp":2.5})", "pp");
+  expect_bad_field(R"({"tp":null})", "tp");
+}
+
+TEST(ServeProtocol, HugeDoubleWhatIfCountIsRejected) {
+  // 1e30 does not fit any integer type; converting it would be undefined.
+  expect_bad_field(R"({"dp":1e30})", "dp");
+  expect_bad_field(R"({"d_model":1e30})", "d_model");
+  // The same magnitude in the id or a boolean field is a structured error
+  // or a plain truth value, never a conversion.
+  Request out;
+  EXPECT_EQ(decode_request(R"({"method":"ping","id":1e30})", out).code(),
+            ErrorCode::kParseError);
+  EXPECT_TRUE(decode_whatif(R"({"fusion":1e30})").is_ok());
+}
+
 TEST(ServeProtocol, ErrorRepliesCarryTheStatusCodeAcrossTheWire) {
   const std::string line =
       error_reply(9, deadlock_error("simulation stuck at t=10"));
